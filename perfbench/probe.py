@@ -1,26 +1,27 @@
 """Headroom probe: boxes beyond what the package handles today.
 
-Usage: python3 perfbench/probe.py [--cap-seconds 60] [--cap-mb 2048]
+Usage: python3 perfbench/probe.py
 
 Untimed and ungated, and never part of a workload run.  Each box runs as one
-CLI job under a wall-clock cap and an address-space cap, and is recorded as
-completed, refused (exit 2), timed_out or failed (any other exit, such as
-running out of memory under the cap), with its wall time.  A change that
-lifts a limit shows up here without slowing a timed workload.
+CLI job under a wall-clock cap of CAP_SECONDS and an address-space cap of
+CAP_MB, and is recorded as completed, refused (exit 2), timed_out or failed
+(any other exit, such as running out of memory under the cap), with its wall
+time.  A change that lifts a limit shows up here without slowing a timed
+workload.  The last stdout line is the whole record as JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import resource
-import subprocess
 import sys
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from run import spawn  # noqa: E402
+
+CAP_SECONDS = 60.0
+CAP_MB = 2048
 
 BOXES = (
     ("census", (20, 20, 20, 20), (3, 3, 3, 3), "3.8e8 tuples; over the 1e8 tuple budget"),
@@ -30,41 +31,25 @@ BOXES = (
 )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--cap-seconds", type=float, default=60.0)
-    parser.add_argument("--cap-mb", type=int, default=2048)
-    args = parser.parse_args()
-
-    cap_bytes = args.cap_mb * 2**20
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-
-    def limit_memory() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
-
+def probe() -> dict:
     records = []
     for command, base_max, exp_max, note in BOXES:
         argv = [sys.executable, "-m", "logforms.cli", command,
                 "-A", ",".join(map(str, base_max)), "-B", ",".join(map(str, exp_max))]
-        start = time.perf_counter()
-        try:
-            done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=ROOT,
-                                  timeout=args.cap_seconds, preexec_fn=limit_memory)
-            code = done.returncode
+        wall, status, code, _, _, stderr = spawn(argv, timeout=CAP_SECONDS, memory_cap_mb=CAP_MB)
+        if status == "timeout":
+            code, status = None, "timed_out"
+        else:
             status = {0: "completed", 2: "refused"}.get(code, "failed")
-            detail = (done.stderr.strip().splitlines() or [""])[-1]
-        except subprocess.TimeoutExpired:
-            code, status, detail = None, "timed_out", ""
         record = {
             "command": command, "base_max": list(base_max), "exp_max": list(exp_max), "note": note,
-            "status": status, "exit": code, "seconds": round(time.perf_counter() - start, 3),
-            "detail": detail[:300],
+            "status": status, "exit": code, "seconds": round(wall, 3),
+            "detail": (stderr.strip().splitlines() or [""])[-1][:300],
         }
         records.append(record)
         print(json.dumps(record), flush=True)
-    print(json.dumps({"cap_seconds": args.cap_seconds, "cap_mb": args.cap_mb, "boxes": records}))
-    return 0
+    return {"gated": False, "cap_seconds": CAP_SECONDS, "cap_mb": CAP_MB, "boxes": records}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    print(json.dumps(probe()))

@@ -1,6 +1,6 @@
 """Record goldens and reference census counts for a range of seeds.
 
-Usage: python3 perfbench/record.py --seeds 0-19 [--workloads census-wide,...]
+Usage: python3 perfbench/record.py [--seeds 0-19]
 
 For every job the seeds produce, the CLI runs once (untimed).  A job that
 passes every other check has the digest of its ``results`` block stored in
@@ -20,7 +20,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from checks import GOLDENS_PATH, REFERENCE_PATH, check_job, results_digest  # noqa: E402
-from run import WORK_DIR, Runner, spawn  # noqa: E402
+from run import Runner, spawn  # noqa: E402
 from spread import seed_list  # noqa: E402
 from workloads import WORKLOADS, jobs_for  # noqa: E402
 
@@ -28,20 +28,18 @@ from workloads import WORKLOADS, jobs_for  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", default="0-19")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args()
 
-    WORK_DIR.mkdir(exist_ok=True)
     runner = Runner()
     bad = 0
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         for seed in seed_list(args.seeds):
             jobs = jobs_for(workload, seed)
             runner.reference_counts(jobs)
             for job in jobs:
                 if job.key in runner.goldens:
                     continue
-                _, status, code, _, stdout, stderr = spawn([sys.executable, "-m", "logforms.cli", *job.argv], runner.env)
+                _, status, code, _, stdout, stderr = spawn([sys.executable, "-m", "logforms.cli", *job.argv])
                 problems = check_job(job, status, code, stdout, runner.counts, {})
                 if problems:
                     bad += 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -38,8 +39,10 @@ from workloads import WORKLOADS, Job, jobs_for  # noqa: E402
 
 ROOT = HERE.parent
 WORK_DIR = ROOT / ".perfbench"
+JOB_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 JOB_TIMEOUT_S = 60.0
-SETUP_PER_PASS = 1
+# Cold starts before every pass; setup_s is the median of all of them.
+SETUP_PER_PASS = 3
 MIN_PASSES = 3
 
 END_TO_END_UNITS = {
@@ -87,13 +90,22 @@ class Outcome:
     problems: list[str] = field(default_factory=list)
 
 
-def spawn(argv: list[str], env: dict[str, str], timeout: float = JOB_TIMEOUT_S):
-    """Run one process to completion; returns (wall, status, returncode, max RSS in MB, stdout, stderr)."""
-    out_path, err_path = WORK_DIR / "job.stdout", WORK_DIR / "job.stderr"
+def spawn(argv: list[str], timeout: float = JOB_TIMEOUT_S, memory_cap_mb: int | None = None):
+    """Run one process to completion with the package on its path; returns
+    (wall, status, returncode, max RSS in MB, stdout, stderr).  ``status`` is
+    "exited" or "timeout".  ``memory_cap_mb`` caps the child's address space."""
+    WORK_DIR.mkdir(exist_ok=True)
+    out_path, err_path = WORK_DIR / f"job-{os.getpid()}.stdout", WORK_DIR / f"job-{os.getpid()}.stderr"
+    cap = None if memory_cap_mb is None else memory_cap_mb * 2**20
+
+    def limit_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
     with open(out_path, "w+b") as out, open(err_path, "w+b") as err:
         expired = threading.Event()
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, cwd=ROOT)
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, env=JOB_ENV, cwd=ROOT,
+                                preexec_fn=None if cap is None else limit_memory)
 
         def expire() -> None:
             expired.set()
@@ -112,15 +124,14 @@ def spawn(argv: list[str], env: dict[str, str], timeout: float = JOB_TIMEOUT_S):
         err.seek(0)
         stdout = out.read().decode("utf-8", "replace")
         stderr = err.read().decode("utf-8", "replace")
+    out_path.unlink()
+    err_path.unlink()
     status = "timeout" if expired.is_set() else "exited"
     return wall, status, proc.returncode, usage.ru_maxrss / 1024.0, stdout, stderr
 
 
 class Runner:
     def __init__(self) -> None:
-        src = str(ROOT / "src")
-        path = os.environ.get("PYTHONPATH")
-        self.env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
         self.goldens = load_json(GOLDENS_PATH)
         self.counts = load_json(REFERENCE_PATH)
         self.next_job_id = 0
@@ -138,7 +149,7 @@ class Runner:
         """Wall time for a fresh interpreter to import logforms and build the
         factor table for base bounds up to ``limit``."""
         argv = [sys.executable, "-c", f"import logforms; logforms.build_factor_table({limit})"]
-        wall, status, code, _, _, stderr = spawn(argv, self.env)
+        wall, status, code, _, _, stderr = spawn(argv)
         if status != "exited" or code != 0:
             raise RuntimeError(f"cold start failed ({status}, exit {code}): {stderr.strip()[-500:]}")
         return wall
@@ -155,7 +166,7 @@ class Runner:
                 argv = [sys.executable, str(HERE / "traced_job.py"), str(spans_path), str(job_id), *job.argv]
             else:
                 argv = [sys.executable, "-m", "logforms.cli", *job.argv]
-            outcome = Outcome(job, *spawn(argv, self.env))
+            outcome = Outcome(job, *spawn(argv))
             if traced and spans_path.exists():
                 outcome.spans = json.loads(spans_path.read_text(encoding="utf-8"))
             outcomes.append(outcome)
@@ -180,24 +191,25 @@ def _percentile_note(values: list[float]) -> str:
 
 
 def end_to_end(passes: list[tuple[float, list[Outcome]]], setup: list[float]) -> tuple[dict, list[str]]:
-    """Timings are best-of-passes: the host's speed swings by about 20 % over
-    seconds, and the fastest of several passes is the steadiest estimate of
-    what the jobs themselves cost."""
+    """Timings are medians over the whole run.  The host's speed swings by
+    20-40 % from one second to the next and drifts over minutes; the median of
+    many samples repeats from run to run better than the fastest one does."""
     outcomes = [o for _, pass_outcomes in passes for o in pass_outcomes]
-    best = [min(pass_outcomes[k].wall for _, pass_outcomes in passes) for k in range(len(passes[0][1]))]
+    walls = [o.wall for o in outcomes]
+    per_job = [statistics.median(p[k].wall for _, p in passes) for k in range(len(passes[0][1]))]
     tuples = sum(o.job.tuple_space for o in passes[0][1])
     values = {
-        "wall_s": min(wall for wall, _ in passes),
-        "job_p50_s": statistics.median(best),
-        "tuples_per_s": tuples / sum(best),
+        "wall_s": statistics.median(wall for wall, _ in passes),
+        "job_p50_s": statistics.median(per_job),
+        "tuples_per_s": tuples / sum(per_job),
         "peak_rss_mb": max(o.rss_mb for o in outcomes),
         "setup_s": statistics.median(setup),
     }
     notes = [
-        f"wall_s        fastest of {len(passes)} passes of {len(best)} jobs",
-        f"job_p50_s     median over {len(best)} jobs of each job's fastest of {len(passes)} runs",
-        f"              all {len(outcomes)} job walls: {_percentile_note([o.wall for o in outcomes])}",
-        f"tuples_per_s  {tuples} tuples / {sum(best):.3f} s, the sum of the jobs' fastest walls",
+        f"wall_s        median of {len(passes)} passes of {len(per_job)} jobs",
+        f"job_p50_s     median over {len(per_job)} jobs of each job's median wall",
+        f"              all {len(walls)} job walls: {_percentile_note(walls)}",
+        f"tuples_per_s  {tuples} tuples / {sum(per_job):.3f} s, the sum of the jobs' median walls",
         f"peak_rss_mb   largest max-RSS of {len(outcomes)} job processes",
         f"setup_s       median of {len(setup)} cold starts, {SETUP_PER_PASS} before each pass",
     ]
@@ -239,7 +251,7 @@ def _layer_totals(outcomes: list[Outcome]) -> dict:
 
 def per_layer(untraced: list[float], traced: list[tuple[float, list[Outcome]]]) -> tuple[dict, list[str]]:
     per_pass = [_layer_totals(outcomes) for _, outcomes in traced]
-    overhead = min(w for w, _ in traced) - min(untraced)
+    overhead = statistics.median(w for w, _ in traced) - statistics.median(untraced)
     values = {}
     for name, (_, source) in PER_LAYER.items():
         kind, *span_names = source
@@ -253,8 +265,8 @@ def per_layer(untraced: list[float], traced: list[tuple[float, list[Outcome]]]) 
     job_wall = sum(o.wall for o in traced[0][1])
     notes = [
         f"per-layer values: median over {len(traced)} traced passes of per-pass sums",
-        f"trace.overhead_s = fastest traced pass {min(w for w, _ in traced):.4f} s"
-        f" - fastest untraced pass {min(untraced):.4f} s",
+        f"trace.overhead_s = median traced pass {statistics.median(w for w, _ in traced):.4f} s"
+        f" - median untraced pass {statistics.median(untraced):.4f} s",
         f"census.values_per_tuple = {first['values']} values / {first['tuples']} tuples (first traced pass)",
         f"uncovered by any span: {first['uncovered_s']:.4f} s of {job_wall:.4f} s job wall (first traced pass)",
         "self time per span, first traced pass:",
@@ -290,7 +302,7 @@ def run_workload(runner: Runner, workload: str, seed: int, seconds: float, trace
     # Whole passes only: stop before a pass that would end past the deadline,
     # after at least MIN_PASSES.  With tracing, untraced and traced passes alternate.
     while True:
-        setup += [runner.cold_start(limit) for _ in range(SETUP_PER_PASS)]
+        setup.extend(runner.cold_start(limit) for _ in range(SETUP_PER_PASS))
         tracing = trace and len(traced) < len(untraced)
         (traced if tracing else untraced).append(runner.run_pass(jobs, tracing))
         done = len(untraced) + len(traced)
@@ -326,14 +338,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     if not (ROOT / "src" / "logforms" / "cli.py").is_file():
         print(f"error: no logforms package under {ROOT / 'src'}; run from a full checkout", file=sys.stderr)
         return 2
-    WORK_DIR.mkdir(exist_ok=True)
     runner = Runner()
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     metrics: dict[str, dict] = {}

@@ -1,21 +1,18 @@
 """Run the benchmark once per seed and summarise each metric's spread.
 
 Usage:
-  python3 perfbench/spread.py --workloads census-wide,verify --seeds 1-10 \
-      [--seconds 25] [--trace 0] [--baseline perfbench/baseline.json]
+  python3 perfbench/spread.py [--workloads census-wide,verify] [--seeds 1-10]
 
+Each run is ``run.py --trace 0`` for ``run_seconds`` from BENCHMARK.json.
 For every workload and metric it prints the median, the first and third
 quartiles (``statistics.quantiles(values, n=4)``) and the quartile distance
-as a share of the median.  With ``--baseline`` the same numbers, with the
-machine they were measured on, are written to that file.
+as a share of the median.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -26,6 +23,8 @@ sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS  # noqa: E402
 
+RUN_SECONDS = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+
 
 def seed_list(text: str) -> list[int]:
     if "-" in text:
@@ -34,17 +33,38 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def _machine() -> dict:
-    import numpy
+def run_once(workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run; returns its result line."""
+    cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=HERE.parent)
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
-    with open("/proc/meminfo", encoding="utf-8") as handle:
-        mem_kb = int(handle.readline().split()[1])
+
+def summarise(workload: str, seeds: list[int]) -> dict:
+    """Median, quartiles, spread and N of every end-to-end metric over one run per seed."""
+    runs = []
+    for seed in seeds:
+        result = run_once(workload, seed, 0)
+        runs.append(result)
+        print(f"{workload} seed {seed}: correct={result['correct']} attempted={result['attempted']} "
+              f"failed={result['failed']} " + " ".join(
+                  f"{k}={v['value']:.5g}" for k, v in result["metrics"].items()), flush=True)
+    metrics = {}
+    for name, first in runs[0]["metrics"].items():
+        values = [run["metrics"][name]["value"] for run in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        metrics[name] = {
+            "unit": first["unit"], "n": len(values), "median": median, "q1": q1, "q3": q3,
+            "spread": (q3 - q1) / median,
+        }
+        print(f"  {name:40s} median {median:12.6g} q1 {q1:12.6g} q3 {q3:12.6g} "
+              f"spread {metrics[name]['spread']:.4f}", flush=True)
     return {
-        "nproc": os.cpu_count(),
-        "memory_gb": round(mem_kb / 2**20, 1),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "machine": platform.machine(),
+        "seeds": seeds,
+        "failed": sum(run["failed"] for run in runs),
+        "attempted": sum(run["attempted"] for run in runs),
+        "metrics": metrics,
     }
 
 
@@ -52,42 +72,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--baseline", type=Path)
     args = parser.parse_args()
-
-    summary = {}
     for workload in args.workloads.split(","):
-        runs = []
-        for seed in seed_list(args.seeds):
-            cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", str(args.trace)]
-            done = subprocess.run(cmd, capture_output=True, text=True, check=True, cwd=HERE.parent)
-            result = json.loads(done.stdout.strip().splitlines()[-1])
-            runs.append(result)
-            print(f"{workload} seed {seed}: correct={result['correct']} attempted={result['attempted']} "
-                  f"failed={result['failed']} " + " ".join(
-                      f"{k}={v['value']:.5g}" for k, v in result["metrics"].items()), flush=True)
-        metrics = {}
-        for name, first in runs[0]["metrics"].items():
-            values = [run["metrics"][name]["value"] for run in runs]
-            q1, median, q3 = statistics.quantiles(values, n=4)
-            metrics[name] = {
-                "unit": first["unit"], "n": len(values), "median": median, "q1": q1, "q3": q3,
-                "spread": (q3 - q1) / median if median else None,
-            }
-            print(f"  {name:40s} median {median:12.6g} q1 {q1:12.6g} q3 {q3:12.6g} "
-                  f"spread {metrics[name]['spread'] if median else float('nan'):.4f}", flush=True)
-        summary[workload] = {
-            "seeds": seed_list(args.seeds),
-            "failed": sum(run["failed"] for run in runs),
-            "attempted": sum(run["attempted"] for run in runs),
-            "metrics": metrics,
-        }
-    if args.baseline:
-        record = {"machine": _machine(), "seconds": args.seconds, "trace": args.trace, "workloads": summary}
-        args.baseline.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        summarise(workload, seed_list(args.seeds))
     return 0
 
 

@@ -6,8 +6,6 @@ Run from the repository root: python3 -m pytest -q perfbench/test_checks.py
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +16,7 @@ sys.path.insert(0, str(HERE))
 
 from checks import box_key, check_job, results_digest  # noqa: E402
 from reference import distinct_count  # noqa: E402
+from run import spawn  # noqa: E402
 from workloads import WORKLOADS, box_job, jobs_for, tuple_space  # noqa: E402
 
 
@@ -37,9 +36,8 @@ def test_reference_anchors(box, count):
 
 
 def _cli(*argv: str) -> tuple[int, str]:
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-    done = subprocess.run([sys.executable, "-m", "logforms.cli", *argv], capture_output=True, text=True, env=env)
-    return done.returncode, done.stdout
+    _, _, code, _, stdout, _ = spawn([sys.executable, "-m", "logforms.cli", *argv])
+    return code, stdout
 
 
 BOX = ((9, 12), (2, 3))
