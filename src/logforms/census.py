@@ -1,31 +1,36 @@
-"""Exhaustive ground truth for the power-product census.
+"""Exact ground truth for the power-product census.
 
-Everything here is exact: ``count_distinct_rationals`` enumerates the full
-box of (bases, exponents) tuples and counts distinct product values;
-``verify_unique_representation`` checks that equal values inside the filtered
-representative set only arise from coordinate reorderings; the permissibility
-helpers measure how much of the box a coordinate permutation preserves; and
-``convergence_run`` sweeps a scale sequence comparing exact counts against
-the leading-term formulas.
+Everything here is exact: ``count_distinct_rationals`` counts the distinct
+product values in a box; ``verify_unique_representation`` checks that equal
+values inside the filtered representative set only arise from coordinate
+reorderings; the permissibility helpers measure how much of the box a
+coordinate permutation preserves; and ``convergence_run`` sweeps a scale
+sequence comparing exact counts against the leading-term formulas.
 
-The default enumeration strategy maps every tuple to an integer key that is
-injective on product values: each prime up to max(A_i) gets a bit lane wide
-enough that no signed combination of exponents in the box can reach half the
-lane capacity, so equal keys mean equal rationals and vice versa.  A second,
-deliberately independent strategy ("sorted") re-derives each value's full
-prime factorization and deduplicates by sorting the serialized forms; the two
-must agree exactly and the test suite holds them to that.
+The count never visits a box tuple.  A value is its prime-exponent vector,
+encoded as an exact integer key (one balanced mixed-radix digit per prime,
+packed into int64 words) on which addition is vector addition.  The value set
+is then the sumset S_1 + ... + S_n of the per-coordinate power sets, built
+one layer at a time as T_k = dedup(T_{k-1} + S_k) with numpy sorts.  Keys
+wider than one word are ordered by a linear 64-bit fingerprint (Karp-Rabin
+style), and every run of equal fingerprints is certified on the exact keys,
+so a collision costs time, never a wrong count.  A second, deliberately
+independent strategy ("sorted") re-derives each tuple's full prime
+factorization and deduplicates by sorting the serialized forms; the two must
+agree exactly and the test suite holds them to that.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import (
     Bounds,
@@ -37,7 +42,6 @@ from .core import (
     Permutation,
     build_factor_table,
     canonical_form,
-    factorize,
     is_possible,
 )
 from .conditions import (
@@ -65,6 +69,12 @@ __all__ = [
 ]
 
 _SAMPLE_SIZE = 100_000
+# Seed of the census fingerprint multipliers.  Counts never depend on it:
+# every run of equal fingerprints is certified on exact keys.
+_FINGERPRINT_SEED = 0x6C6F67
+# Fingerprint runs are certified this many adjacent pairs at a time, which
+# bounds the exact key words rebuilt at once.
+_CERTIFY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,7 @@ class OrbitViolation:
 @dataclass(frozen=True)
 class ConvergenceResult:
     """Census reports along a scale sequence; truncated_at is the first
-    scale whose box exceeded the enumeration budget, if any."""
+    scale whose box exceeded the work budget, if any."""
 
     reports: tuple[CensusReport, ...]
     truncated_at: int | None
@@ -104,103 +114,140 @@ def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
     return table
 
 
-def _packed_strides(bounds: Bounds, table: FactorTable) -> list[int]:
-    """packed[a] = prime-exponent vector of a, one bit lane per prime.
+def _key_words(bounds: Bounds, table: FactorTable) -> np.ndarray:
+    """keys[:, a] is the exact key of the base a, for 0 <= a <= max(A_i).
 
-    The widest signed lane value reachable in the box is bounded by
-    max_lane = sum_i B_i * (bitlen(A_i) - 1), since no prime exponent of a
-    single base a <= A_i exceeds log2(A_i).  With lane width
-    max_lane.bit_length() + 1 every lane stays strictly inside +-2**(w-1),
-    and an integer whose base-2**w digits all lie strictly inside half the
-    radix determines those digits uniquely, so key equality is exactly
-    product-value equality.
+    A key has one balanced digit per prime p <= max(A_i), in radix 2*M_p + 1
+    with M_p = sum_i B_i * floor(log_p A_i): no product of box coordinates,
+    full or partial, carries an exponent of p beyond +-M_p.  Digits are packed
+    into int64 words while the product of their radices stays below 2**64, so
+    such products never overflow a word or carry between digits.  Adding keys
+    therefore adds prime-exponent vectors, and equal keys are equal rationals.
     """
     limit = max(bounds.base_max)
-    lane_of = {p: k for k, p in enumerate(table.primes()) if p <= limit}
-    max_lane = sum(
-        b * (a.bit_length() - 1) for a, b in zip(bounds.base_max, bounds.exp_max)
-    )
-    lane_bits = max_lane.bit_length() + 1
-    packed = [0] * (limit + 1)
-    for a in range(2, limit + 1):
-        acc = 0
-        for p, e in factorize(a, table):
-            acc += e << (lane_bits * lane_of[p])
-        packed[a] = acc
-    return packed
-
-
-def _collect_keys(
-    bounds: Bounds,
-    packed: list[int],
-    first_bases: list[int] | range,
-    half_space: bool,
-) -> set[int]:
-    """Distinct value keys over the box, first coordinate's base restricted.
-
-    With ``half_space`` only exponent tuples whose leading nonzero exponent
-    (among coordinates with base > 1) is positive are walked.  Negating all
-    exponents negates the key and keeps the tuple in the box, so the full key
-    set is the union of this half with its negation; callers reassemble the
-    total count from that.
-    """
-    n = bounds.n
-    exp_max = bounds.exp_max
-    keys: set[int] = set()
-    add = keys.add
-
-    def walk(i: int, partial: int, free_sign: bool) -> None:
-        a_values = (
-            first_bases if i == 0 else range(1, bounds.base_max[i] + 1)
+    spf = table.spf[: limit + 1]
+    slots = []  # (powers p**k <= limit, word, place value) per prime p
+    word, place = 0, 1
+    for p in np.flatnonzero(spf == np.arange(limit + 1)).tolist()[1:]:  # 0 has spf 0
+        powers = [p]
+        while powers[-1] * p <= limit:
+            powers.append(powers[-1] * p)
+        top = sum(
+            b * sum(q <= a for q in powers) for a, b in zip(bounds.base_max, bounds.exp_max)
         )
-        bmax = exp_max[i]
-        last = i == n - 1
-        for a in a_values:
-            pa = packed[a]
-            if pa == 0:
-                # base 1 contributes nothing for any exponent
-                if last:
-                    add(partial)
-                else:
-                    walk(i + 1, partial, free_sign)
-            elif free_sign:
-                if last:
-                    add(partial)
-                    val = partial
-                    for _ in range(bmax):
-                        val += pa
-                        add(val)
-                else:
-                    walk(i + 1, partial, True)
-                    val = partial
-                    for _ in range(bmax):
-                        val += pa
-                        walk(i + 1, val, False)
-            else:
-                val = partial - bmax * pa
-                if last:
-                    for _ in range(2 * bmax + 1):
-                        add(val)
-                        val += pa
-                else:
-                    for _ in range(2 * bmax + 1):
-                        walk(i + 1, val, False)
-                        val += pa
-
-    walk(0, 0, half_space)
+        if place * (2 * top + 1) >= 2**64:
+            word, place = word + 1, 1
+        slots.append((powers, word, place))
+        place *= 2 * top + 1
+    keys = np.zeros((word + 1, limit + 1), dtype=np.int64)
+    for powers, w, place in slots:
+        for q in powers:
+            keys[w, q::q] += place
     return keys
 
 
-def _census_worker(
-    base_max: tuple[int, ...],
-    exp_max: tuple[int, ...],
-    first_bases: list[int],
-    half_space: bool,
-) -> set[int]:
-    bounds = Bounds(base_max, exp_max)
-    table = build_factor_table(max(base_max))
-    packed = _packed_strides(bounds, table)
-    return _collect_keys(bounds, packed, first_bases, half_space)
+def _distinct_columns(words: np.ndarray) -> np.ndarray:
+    """The distinct columns of a (words, m) key array, exactly."""
+    words = words[:, np.lexsort(words)]
+    return words[:, np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)]]
+
+
+def _coordinate_values(keys: np.ndarray, a_max: int, b_max: int) -> np.ndarray:
+    """Distinct keys of a**b over 1 <= a <= a_max, |b| <= b_max."""
+    powers = keys[:, 1 : a_max + 1, None] * np.arange(-b_max, b_max + 1)
+    return _distinct_columns(powers.reshape(keys.shape[0], -1))
+
+
+def _fingerprint_weights(width: int) -> np.ndarray:
+    """Random odd multipliers r_w of the fingerprint sum_w word_w * r_w mod 2**64."""
+    rng = random.Random(_FINGERPRINT_SEED)
+    return np.array([rng.getrandbits(64) | 1 for _ in range(width)], dtype=np.uint64)
+
+
+def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarray | int:
+    """Distinct sums of a column of ``values`` and a column of ``layer``.
+
+    Returns their key columns, or only their number when ``count_only``.
+    One-word keys are exact, so sorting them groups equal sums.  Wider keys
+    are sorted by a linear fingerprint in the high bits of a uint64 whose low
+    bits hold the candidate's index; equal sums then sit in one run of equal
+    fingerprints.  Each run is certified by comparing the exact words of its
+    adjacent members, rebuilt from the index, and a run whose members differ
+    (a fingerprint collision) is resolved by an exact sort of its members.
+    """
+    if values.shape[0] == 1:
+        sums = np.add.outer(values[0], layer[0]).ravel()
+        sums.sort()
+        fresh = np.r_[True, sums[1:] != sums[:-1]]
+        return int(np.count_nonzero(fresh)) if count_only else sums[fresh][None]
+
+    def words_at(index: np.ndarray) -> np.ndarray:
+        t, s = np.divmod(index, layer.shape[1])
+        return np.take(values, t, axis=1) + np.take(layer, s, axis=1)
+
+    weights = _fingerprint_weights(values.shape[0])
+    size = values.shape[1] * layer.shape[1]
+    shift = np.uint64((size - 1).bit_length())
+    packed = np.add.outer(
+        (values.view(np.uint64) * weights[:, None]).sum(axis=0),
+        (layer.view(np.uint64) * weights[:, None]).sum(axis=0),
+    ).ravel()
+    packed >>= shift
+    packed <<= shift
+    packed |= np.arange(size, dtype=np.uint64)
+    packed.sort()
+    fresh = np.r_[True, (packed[1:] ^ packed[:-1]) >> shift != 0]
+    packed &= (np.uint64(1) << shift) - np.uint64(1)
+    index = packed.view(np.int64)
+    pairs = np.flatnonzero(~fresh[1:])
+    collided = []
+    for block in np.split(pairs, range(_CERTIFY_BLOCK, pairs.size, _CERTIFY_BLOCK)):
+        unequal = words_at(index[block]) != words_at(index[block + 1])
+        collided.append(block[functools.reduce(np.logical_or, unequal)])
+    collided = np.concatenate(collided)
+    clean, resolved = fresh, values[:, :0]
+    if collided.size:
+        runs = np.cumsum(fresh) - 1
+        dirty = np.isin(runs, runs[collided])
+        clean = fresh & ~dirty
+        resolved = _distinct_columns(words_at(index[dirty]))
+    if count_only:
+        return int(np.count_nonzero(clean)) + resolved.shape[1]
+    return np.concatenate((words_at(index[clean]), resolved), axis=1)
+
+
+def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
+    """Distinct values as the layered sumset T_k = dedup(T_{k-1} + S_k).
+
+    The budget is charged for every candidate value formed: the A_k*(2B_k+1)
+    powers that make up the coordinate sets S_k, then |T_{k-1}| * |S_k| sums
+    per layer, checked before the layer is formed.  The coordinates are
+    combined in ascending order of |S_k|.
+    """
+    charge = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
+
+    def check() -> None:
+        if charge > budget:
+            raise BudgetError(
+                f"census would combine at least {charge} candidate values, "
+                f"over the budget of {budget}; raise --budget"
+            )
+
+    check()
+    keys = _key_words(bounds, table)
+    layers = sorted(
+        (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
+        key=lambda layer: layer.shape[1],
+    )
+    values, count = layers[0], layers[0].shape[1]
+    for k, layer in enumerate(layers[1:], start=2):
+        charge += values.shape[1] * layer.shape[1]
+        check()
+        if k < bounds.n:
+            values = _sumset(values, layer, count_only=False)
+        else:
+            count = _sumset(values, layer, count_only=True)
+    return count
 
 
 def _count_sorted(bounds: Bounds, table: FactorTable) -> int:
@@ -225,58 +272,23 @@ def count_distinct_rationals(
     *,
     budget: int = 10**8,
     strategy: str = "set",
-    threads: int = 1,
-    sign_symmetry: bool = False,
 ) -> int:
     """Exact number of distinct rationals a_1**b_1 * ... * a_n**b_n in the box.
 
-    ``strategy="set"`` hashes injective integer keys; ``strategy="sorted"``
-    is the independent sort-and-scan route (single-threaded, full box).
-    ``sign_symmetry`` walks only the positive-leading-exponent half of the
-    box and reconstructs the count as 2*|half| - |self-reciprocal values|,
-    exact because value sets are closed under reciprocals here.
-    ``threads`` > 1 partitions the first coordinate's bases across processes.
+    ``strategy="set"`` builds the value set layer by layer on exact keys, and
+    ``budget`` bounds the candidate values it combines.  ``strategy="sorted"``
+    is the independent sort-and-scan route over every box tuple, and
+    ``budget`` bounds the tuple space it walks.
     """
+    table = _usable_table(table, max(bounds.base_max))
+    if strategy == "set":
+        return _count_layered(bounds, table, budget)
+    if strategy != "sorted":
+        raise ValueError(f"unknown strategy {strategy!r}")
     space = bounds.tuple_space()
     if space > budget:
         raise BudgetError(f"tuple space {space} exceeds budget {budget}")
-    table = _usable_table(table, max(bounds.base_max))
-    if strategy == "sorted":
-        if threads != 1 or sign_symmetry:
-            raise ValueError("sorted strategy runs single-threaded on the full box")
-        return _count_sorted(bounds, table)
-    if strategy != "set":
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if threads <= 1:
-        packed = _packed_strides(bounds, table)
-        keys = _collect_keys(
-            bounds, packed, range(1, bounds.base_max[0] + 1), sign_symmetry
-        )
-    else:
-        chunks = [
-            list(range(1 + w, bounds.base_max[0] + 1, threads))
-            for w in range(threads)
-        ]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(
-                    _census_worker,
-                    bounds.base_max,
-                    bounds.exp_max,
-                    chunk,
-                    sign_symmetry,
-                )
-                for chunk in chunks
-            ]
-            keys = set()
-            for future in futures:
-                keys |= future.result()
-    if not sign_symmetry:
-        return len(keys)
-    self_paired = sum(1 for k in keys if -k in keys)
-    return 2 * len(keys) - self_paired
+    return _count_sorted(bounds, table)
 
 
 def verify_unique_representation(
@@ -314,7 +326,11 @@ def verify_unique_representation(
         if not has_bounded_relation(exps, param)
     ]
 
-    packed = _packed_strides(bounds, table)
+    # one Python integer per base: the key words as balanced base-2**64 digits
+    packed = [
+        sum(int(word) << (64 * k) for k, word in enumerate(column))
+        for column in _key_words(bounds, table).T.tolist()
+    ]
     groups: dict[int, list[tuple[int, int]]] = {}
     for bi, bases in enumerate(good_bases):
         strides = [packed[a] for a in bases]
@@ -426,9 +442,7 @@ def run_census(
     table: FactorTable | None = None,
     *,
     budget: int = 10**8,
-    threads: int = 1,
     strategy: str = "set",
-    sign_symmetry: bool = False,
     formula: float | None = None,
     param: FilterParameter | None = None,
 ) -> CensusReport:
@@ -439,14 +453,7 @@ def run_census(
     """
     table = _usable_table(table, max(bounds.base_max))
     start = time.perf_counter()
-    exact = count_distinct_rationals(
-        bounds,
-        table,
-        budget=budget,
-        strategy=strategy,
-        threads=threads,
-        sign_symmetry=sign_symmetry,
-    )
+    exact = count_distinct_rationals(bounds, table, budget=budget, strategy=strategy)
     if formula is None:
         formula = main_term(bounds)
     if param is None:
@@ -501,7 +508,6 @@ def convergence_run(
     base: Bounds | None = None,
     table: FactorTable | None = None,
     budget: int = 10**8,
-    threads: int = 1,
 ) -> ConvergenceResult:
     """Census a scale sequence against the shape's leading-term formula.
 
@@ -515,9 +521,7 @@ def convergence_run(
     for scale in scales:
         bounds, formula = _shape_bounds(shape, scale, factors, base)
         try:
-            report = run_census(
-                bounds, table, budget=budget, threads=threads, formula=formula
-            )
+            report = run_census(bounds, table, budget=budget, formula=formula)
         except BudgetError:
             truncated_at = scale
             break

@@ -49,8 +49,6 @@ class RunConfig:
     budget: int
     output_path: str | None
     format: str
-    seed: int | None
-    threads: int
     scales: tuple[int, ...] | None
     shape: str | None
     factors: int | None
@@ -66,14 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="number of factors (cross-checked against -A/-B)")
     common.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
                         help="filter cutoff override (>= 2); default is min(B_i, ln A_i)")
-    common.add_argument("--budget", type=int, default=10**8, metavar="TUPLES",
-                        help="enumeration budget in tuples (default 1e8)")
-    common.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker processes for the census (default 1)")
+    common.add_argument("--budget", type=int, default=10**8, metavar="N",
+                        help="work budget (default 1e8): candidate values the census "
+                             "combines, tuples the filters and the uniqueness check walk")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the report here instead of stdout")
-    common.add_argument("--seed", type=int, help="seed for sampling paths")
 
     parser = argparse.ArgumentParser(
         prog="logforms",
@@ -132,8 +128,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
     if ns.budget < 1:
         parser.error("--budget must be >= 1")
-    if ns.threads < 1:
-        parser.error("--threads must be >= 1")
     if ns.cutoff is not None and ns.cutoff < 2:
         parser.error(f"--C must be >= 2, got {ns.cutoff}")
 
@@ -171,8 +165,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         budget=ns.budget,
         output_path=ns.output_path,
         format=ns.format,
-        seed=ns.seed,
-        threads=ns.threads,
         scales=scales,
         shape=shape,
         factors=factors,
@@ -224,9 +216,7 @@ def _execute(config: RunConfig):
     param = _effective_param(config)
 
     if config.command == "census":
-        report = run_census(
-            bounds, table, budget=config.budget, threads=config.threads, param=param
-        )
+        report = run_census(bounds, table, budget=config.budget, param=param)
         results = _report_rows(report)
         return results, [results], list(results), False
 
@@ -300,7 +290,6 @@ def _execute(config: RunConfig):
             base=bounds,
             table=table,
             budget=config.budget,
-            threads=config.threads,
         )
         rows = [
             _report_rows(report, scale)
@@ -328,8 +317,6 @@ def _config_payload(config: RunConfig) -> dict:
         "cutoff": param.cutoff if param else None,
         "coeff_bound": param.coeff_bound if param else None,
         "budget": config.budget,
-        "threads": config.threads,
-        "seed": config.seed,
         "scales": list(config.scales) if config.scales else None,
         "shape": config.shape,
     }

@@ -195,11 +195,14 @@ def count_e_set(
 
     Conditions 1 and 2 touch only the bases and condition 3 only the exponents,
     so the count factors as (#admissible base tuples) * (#admissible exponent
-    tuples); both factors are enumerated exhaustively.
+    tuples); both factors are enumerated exhaustively, so the budget is charged
+    prod(A_i) + prod(2 B_i + 1) tuples.
     """
-    space = bounds.tuple_space()
-    if space > budget:
-        raise BudgetError(f"tuple space {space} exceeds enumeration budget {budget}")
+    work = math.prod(bounds.base_max) + math.prod(2 * bm + 1 for bm in bounds.exp_max)
+    if work > budget:
+        raise BudgetError(
+            f"e-set count walks {work} tuples, over the budget of {budget}; raise --budget"
+        )
     base_ranges = [range(1, a + 1) for a in bounds.base_max]
     good_bases = sum(
         1

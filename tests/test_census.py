@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import logforms.census as census_module
@@ -48,6 +49,12 @@ class TestCountDistinctRationals:
             ((1,), (5,), 1),  # all powers of 1 collapse
             ((10,), (3,), 47),
             ((4, 4), (2, 2), 47),
+            # Project Euler 29 / OEIS A126254: 9183 distinct a^b (2 <= a, b <= 100),
+            # plus 87 non-powers at b = 1, doubled for reciprocals, plus 1
+            ((100,), (100,), 18_541),
+            ((30, 30, 30), (3, 3, 3), 275_621),
+            ((12, 12, 12, 12), (2, 2, 2, 2), 21_819),
+            ((30, 25), (4, 3), 14_109),
         ],
     )
     def test_examples(self, table_small, base_max, exp_max, expected):
@@ -62,21 +69,49 @@ class TestCountDistinctRationals:
             by_sort = count_distinct_rationals(bounds, table_small, strategy="sorted")
             assert by_set == by_sort
 
-    def test_sign_symmetry_agrees(self, table_small):
-        rng = random.Random(234)
-        for _ in range(12):
-            bounds = _random_bounds(rng, 40_000)
-            plain = count_distinct_rationals(bounds, table_small)
-            halved = count_distinct_rationals(
-                bounds, table_small, sign_symmetry=True
-            )
-            assert plain == halved
+    @pytest.mark.parametrize(
+        "base_max,exp_max,words",
+        [
+            ((12, 9), (3, 2), 1),
+            ((160, 2), (1, 1), 2),
+            ((235, 2), (2, 1), 3),
+            ((235, 2, 2), (2, 1, 1), 3),
+        ],
+    )
+    def test_every_key_width_agrees_with_sorted(
+        self, table_small, base_max, exp_max, words
+    ):
+        bounds = Bounds(base_max, exp_max)
+        assert census_module._key_words(bounds, table_small).shape[0] == words
+        assert count_distinct_rationals(
+            bounds, table_small
+        ) == count_distinct_rationals(bounds, table_small, strategy="sorted")
 
-    def test_threads_agree(self, table_small):
-        bounds = Bounds((30, 25), (4, 3))
-        plain = count_distinct_rationals(bounds, table_small)
-        threaded = count_distinct_rationals(bounds, table_small, threads=2)
-        assert plain == threaded == 14109
+    @pytest.mark.parametrize("weighted_words", [0, 1])
+    def test_fingerprint_collisions_are_resolved(
+        self, table_small, monkeypatch, weighted_words
+    ):
+        # weight only the first ``weighted_words`` key words, so distinct
+        # values that differ in the others share a fingerprint
+        def weights(width):
+            odd = 0x9E3779B97F4A7C15
+            return np.array(
+                [odd] * weighted_words + [0] * (width - weighted_words), dtype=np.uint64
+            )
+
+        exact_sorts = []
+        distinct_columns = census_module._distinct_columns
+
+        def spy(words):
+            exact_sorts.append(words.shape[1])
+            return distinct_columns(words)
+
+        monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
+        monkeypatch.setattr(census_module, "_distinct_columns", spy)
+        bounds = Bounds((160, 2, 2), (1, 1, 1))
+        count = count_distinct_rationals(bounds, table_small)
+        assert len(exact_sorts) > bounds.n  # collided runs were sorted exactly
+        assert count == count_distinct_rationals(bounds, table_small, strategy="sorted")
 
     def test_coordinate_order_is_irrelevant(self, table_small):
         rng = random.Random(345)
@@ -107,23 +142,14 @@ class TestCountDistinctRationals:
             ) <= count_distinct_rationals(grown, table_small)
 
     def test_budget_guard(self, table_small):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"at least \d+ candidate.*--budget"):
             count_distinct_rationals(
                 Bounds((100, 100), (5, 5)), table_small, budget=10**4
             )
 
-    def test_sorted_strategy_rejects_parallel_options(self, table_small):
-        bounds = Bounds((5,), (2,))
+    def test_unknown_strategy_is_rejected(self, table_small):
         with pytest.raises(ValueError):
-            count_distinct_rationals(
-                bounds, table_small, strategy="sorted", threads=2
-            )
-        with pytest.raises(ValueError):
-            count_distinct_rationals(
-                bounds, table_small, strategy="sorted", sign_symmetry=True
-            )
-        with pytest.raises(ValueError):
-            count_distinct_rationals(bounds, table_small, strategy="typo")
+            count_distinct_rationals(Bounds((5,), (2,)), table_small, strategy="typo")
 
 
 class TestVerifyUniqueRepresentation:

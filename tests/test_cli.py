@@ -32,10 +32,6 @@ class TestParseArgs:
                 "4,5",
                 "--budget",
                 "1000",
-                "--threads",
-                "2",
-                "--seed",
-                "7",
                 "--C",
                 "4",
                 "--format",
@@ -48,8 +44,6 @@ class TestParseArgs:
         assert config.bounds == Bounds((50, 60), (4, 5))
         assert config.cutoff_override == 4.0
         assert config.budget == 1000
-        assert config.threads == 2
-        assert config.seed == 7
         assert config.format == "csv"
         assert config.output_path == "report.csv"
         assert config.factors == 2
@@ -78,7 +72,7 @@ class TestParseArgs:
             ["census", "-A", "0,5", "-B", "2,2"],  # bound below 1
             ["census", "-A", "5", "-B", "2", "--C", "1.5"],  # cutoff too small
             ["census", "-A", "5", "-B", "2", "--budget", "0"],
-            ["census", "-A", "5", "-B", "2", "--threads", "0"],
+            ["census", "-A", "5", "-B", "2", "--threads", "2"],  # flag removed
             ["converge", "-n", "2"],  # --scales missing
             ["converge", "--scales", "3,5", "--shape", "custom"],  # no base box
             ["no-such-command"],

@@ -188,3 +188,11 @@ class TestESet:
         bounds = Bounds((50, 60), (4, 5))
         with pytest.raises(BudgetError):
             count_e_set(bounds, default_cutoff(bounds), table_small, budget=10**3)
+
+    def test_budget_charges_the_work_done(self, table_small):
+        # 3000 base tuples plus 99 exponent tuples, though the box holds 297 000
+        bounds = Bounds((50, 60), (4, 5))
+        param = default_cutoff(bounds)
+        assert count_e_set(bounds, param, table_small, budget=4000) == count_e_set(
+            bounds, param, table_small
+        )
