@@ -60,7 +60,6 @@ from .census import (
     convergence_run,
     count_distinct_rationals,
     permissibility_closed_form,
-    permissibility_fraction,
     possible_count,
     related_by_permutation,
     run_census,
@@ -113,7 +112,6 @@ __all__ = [
     "convergence_run",
     "count_distinct_rationals",
     "permissibility_closed_form",
-    "permissibility_fraction",
     "possible_count",
     "related_by_permutation",
     "run_census",

@@ -29,6 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 import numpy as np
 
@@ -42,16 +43,8 @@ from .core import (
     Permutation,
     build_factor_table,
     canonical_form,
-    is_possible,
 )
-from .conditions import (
-    FilterParameter,
-    count_e_set,
-    default_cutoff,
-    has_bounded_relation,
-    has_large_prime_power,
-    has_smooth_base,
-)
+from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
 from .asymptotics import main_term, separated_leading_term, symmetric_leading_term
 
 __all__ = [
@@ -63,12 +56,10 @@ __all__ = [
     "related_by_permutation",
     "possible_count",
     "permissibility_closed_form",
-    "permissibility_fraction",
     "run_census",
     "convergence_run",
 ]
 
-_SAMPLE_SIZE = 100_000
 # Seed of the census fingerprint multipliers.  Counts never depend on it:
 # every run of equal fingerprints is certified on exact keys.
 _FINGERPRINT_SEED = 0x6C6F67
@@ -300,59 +291,56 @@ def verify_unique_representation(
 ) -> list[OrbitViolation]:
     """Check that equal values in the filtered set come from reorderings only.
 
-    Builds the filtered set (tuples passing none of the three exclusion
-    conditions), groups members by exact value, and inside each group
-    partitions by the multiset of (base, exponent) coordinate pairs.  Two
-    members in different partitions share a value without any permutation
-    relating them; each such group yields one violation.  Returns all
-    violations found -- the expected result is an empty list.
+    Each member of the filtered set (tuples passing none of the three
+    exclusion conditions) gets two exact keys: its value (its bases' key
+    words times its exponents) and its orbit (its sorted (base, exponent)
+    pair codes).  One lexsort orders the members by value, then orbit.  A run
+    of equal values whose orbit changes inside it is one violation, witnessed
+    by the run's first member and its first member of another orbit.
+    Violations come in key order; the expected result is an empty list.
+
+    The budget is charged prod(A_i) + prod(2 B_i + 1) for the filters, then
+    the number of filtered members before their keys are formed.
     """
-    space = bounds.tuple_space()
-    if space > budget:
-        raise BudgetError(f"tuple space {space} exceeds budget {budget}")
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
+    bases, exps = _admissible_tuples(bounds, param, table, budget)
+    members = len(bases) * len(exps)
+    if members > budget:
+        raise BudgetError(
+            f"uniqueness check would key {members} e-set members, over the budget "
+            f"of {budget}; raise --budget"
+        )
 
-    good_bases = [
-        bases
-        for bases in itertools.product(*(range(1, a + 1) for a in bounds.base_max))
-        if not has_large_prime_power(bases, param, table)
-        and not has_smooth_base(bases, param, table)
+    # int64 sums wrap, but a value's balanced digits fit one word's radix
+    # range, so the wrapped words are still exact keys
+    words = _key_words(bounds, table)
+    values = [
+        sum(np.multiply.outer(word[bases[:, i]], exps[:, i]) for i in range(bounds.n)).ravel()
+        for word in words
     ]
-    good_exps = [
-        exps
-        for exps in itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))
-        if not has_bounded_relation(exps, param)
-    ]
-
-    # one Python integer per base: the key words as balanced base-2**64 digits
-    packed = [
-        sum(int(word) << (64 * k) for k, word in enumerate(column))
-        for column in _key_words(bounds, table).T.tolist()
-    ]
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for bi, bases in enumerate(good_bases):
-        strides = [packed[a] for a in bases]
-        for ei, exps in enumerate(good_exps):
-            key = sum(e * s for e, s in zip(exps, strides))
-            groups.setdefault(key, []).append((bi, ei))
+    width = 2 * max(bounds.exp_max) + 1
+    pairs = [np.add.outer(bases[:, i] * width, exps[:, i] + width // 2) for i in range(bounds.n)]
+    orbits = np.sort(np.stack([pair.ravel() for pair in pairs], axis=1), axis=1)
+    order = np.lexsort((*orbits.T, *values))
+    same_value = functools.reduce(
+        np.logical_and, [v[order[1:]] == v[order[:-1]] for v in values]
+    )
+    orbits = orbits[order]
+    new_orbit = (orbits[1:] != orbits[:-1]).any(axis=1)
+    # position of the first member of each sorted member's value run
+    run_start = np.maximum.accumulate(np.r_[0, np.arange(1, len(order)) * ~same_value])
+    changes = np.flatnonzero(same_value & new_orbit) + 1
+    starts, first_change = np.unique(run_start[changes], return_index=True)
 
     violations: list[OrbitViolation] = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        orbits: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
-        for bi, ei in members:
-            pairing = tuple(sorted(zip(good_bases[bi], good_exps[ei])))
-            orbits.setdefault(pairing, (bi, ei))
-        if len(orbits) > 1:
-            (b1, e1), (b2, e2) = list(orbits.values())[:2]
-            first = FormTuple(good_bases[b1], good_exps[e1])
-            second = FormTuple(good_bases[b2], good_exps[e2])
-            violations.append(
-                OrbitViolation(canonical_form(first, table), first, second)
-            )
+    for start, change in zip(starts.tolist(), changes[first_change].tolist()):
+        first, second = (
+            FormTuple(tuple(bases[b].tolist()), tuple(exps[e].tolist()))
+            for b, e in (divmod(int(order[k]), len(exps)) for k in (start, change))
+        )
+        violations.append(OrbitViolation(canonical_form(first, table), first, second))
     return violations
 
 
@@ -380,14 +368,23 @@ def related_by_permutation(first: FormTuple, second: FormTuple) -> Permutation |
 
 
 def possible_count(sigma: Permutation, bounds: Bounds) -> int:
-    """How many box tuples the permutation keeps inside the box (full loop)."""
+    """How many box tuples the permutation keeps inside the box (full loop).
+
+    Tests every tuple against the bounds its coordinates move to, as
+    ``is_possible`` does, so the count stays independent of the closed form.
+    """
+    if len(sigma.images) != bounds.n:
+        raise ValueError("permutation size disagrees with bounds")
+    # coordinate j moves to slot inverse[j] and must fit that slot's bounds
+    inverse = sigma.inverse().images
+    tops_a = [bounds.base_max[i] for i in inverse]
+    tops_b = [bounds.exp_max[i] for i in inverse]
     count = 0
     base_ranges = [range(1, a + 1) for a in bounds.base_max]
     exp_ranges = [range(-b, b + 1) for b in bounds.exp_max]
     for bases in itertools.product(*base_ranges):
         for exps in itertools.product(*exp_ranges):
-            if is_possible(sigma, FormTuple(bases, exps), bounds):
-                count += 1
+            count += all(map(le, bases, tops_a)) and all(map(le, map(abs, exps), tops_b))
     return count
 
 
@@ -410,31 +407,6 @@ def permissibility_closed_form(sigma: Permutation, bounds: Bounds) -> Fraction:
         )
         denominator *= bounds.base_max[i] * (2 * bounds.exp_max[i] + 1)
     return Fraction(numerator, denominator)
-
-
-def permissibility_fraction(
-    sigma: Permutation,
-    bounds: Bounds,
-    *,
-    sample_budget: int = 10**6,
-    seed: int | None = None,
-) -> float:
-    """Fraction of box tuples the permutation keeps inside the box.
-
-    Exact (by full enumeration) when the box has at most ``sample_budget``
-    tuples; otherwise a uniform sample of 100000 tuples drawn from ``seed``.
-    """
-    space = bounds.tuple_space()
-    if space <= sample_budget:
-        return possible_count(sigma, bounds) / space
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(_SAMPLE_SIZE):
-        bases = tuple(rng.randint(1, a) for a in bounds.base_max)
-        exps = tuple(rng.randint(-b, b) for b in bounds.exp_max)
-        if is_possible(sigma, FormTuple(bases, exps), bounds):
-            hits += 1
-    return hits / _SAMPLE_SIZE
 
 
 def run_census(

@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
                         help="filter cutoff override (>= 2); default is min(B_i, ln A_i)")
     common.add_argument("--budget", type=int, default=10**8, metavar="N",
-                        help="work budget (default 1e8): candidate values the census "
-                             "combines, tuples the filters and the uniqueness check walk")
+                        help="work budget (default 1e8): census candidate values, "
+                             "filtered base plus exponent tuples, e-set members checked")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the report here instead of stdout")

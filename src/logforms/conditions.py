@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     Bounds,
@@ -52,6 +55,8 @@ __all__ = [
 # Above this many candidate coefficient vectors the relation search switches
 # to meet-in-the-middle on the two halves of the coordinate set.
 _MITM_THRESHOLD = 10_000_000
+
+_gpf_cache: "weakref.WeakKeyDictionary[FactorTable, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,92 @@ def in_e_set(t: FormTuple, param: FilterParameter, table: FactorTable) -> bool:
     )
 
 
+def _greatest_prime_factors(table: FactorTable) -> np.ndarray:
+    """gpf[m] = largest prime factor of m (gpf[0] = gpf[1] = 0), cached per table."""
+    gpf = _gpf_cache.get(table)
+    if gpf is None:
+        gpf = np.zeros(table.limit + 1, dtype=np.int32)
+        for p in table.primes():
+            gpf[p::p] = p  # ascending primes, so the last write wins
+        _gpf_cache[table] = gpf
+    return gpf
+
+
+def _min_bad_exponent(p: int, cutoff: float) -> int:
+    """Smallest k >= 2 with p**k >= cutoff."""
+    k = 2
+    pk = p * p
+    while pk < cutoff:
+        k += 1
+        pk *= p
+    return k
+
+
+def _large_prime_power_grid(
+    columns: Sequence[np.ndarray], cutoff: float, table: FactorTable
+) -> np.ndarray:
+    """Condition 1 on the product grid of the given base columns.
+
+    ``bad[i_1, ..., i_n]`` is True iff the base tuple (columns[0][i_1], ...,
+    columns[n-1][i_n]) satisfies condition 1: for some prime p the
+    multiplicities of p in its bases sum to at least k_p.  Each prime adds
+    one broadcast sum of its per-column multiplicities, unless the largest
+    such sum stays below k_p.
+    """
+    bad = np.zeros([len(column) for column in columns], dtype=bool)
+    top = max(int(column.max(initial=0)) for column in columns)
+    primes = table.primes()
+    for p in primes[primes <= top].tolist():
+        k = _min_bad_exponent(p, cutoff)
+        powers = [p]
+        while powers[-1] * p <= top:
+            powers.append(powers[-1] * p)
+        if len(columns) * len(powers) < k:
+            continue  # no base tuple can hold p that often
+        # a multiplicity sum is at most log2 of the grid size, so int8 holds it
+        divides = np.array(powers)[:, None]
+        mult = [(column % divides == 0).sum(axis=0, dtype=np.int8) for column in columns]
+        if sum(int(v.max(initial=0)) for v in mult) >= k:
+            bad |= sum(np.meshgrid(*mult, indexing="ij", sparse=True)) >= k
+    return bad
+
+
+def _admissible_exps(exp_max: Sequence[int], param: FilterParameter) -> np.ndarray:
+    """The exponent tuples in the box failing condition 3, as a (q, n) array."""
+    exps = [
+        e
+        for e in itertools.product(*(range(-b, b + 1) for b in exp_max))
+        if not has_bounded_relation(e, param)
+    ]
+    return np.array(exps, dtype=np.int64).reshape(len(exps), len(exp_max))
+
+
+def _admissible_tuples(
+    bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The e-set of the box as (bases, exps): an (m, n) and a (q, n) array.
+
+    Conditions 1 and 2 touch only the bases and condition 3 only the
+    exponents, so the e-set is every row of ``bases`` (lexicographic) with
+    every row of ``exps`` (lexicographic).  A base passes condition 2 when its
+    greatest prime factor exceeds the cutoff (1 has none); condition 1 is then
+    tested on the grid of those bases.  Charges prod(A_i) + prod(2 B_i + 1).
+    """
+    work = math.prod(bounds.base_max) + math.prod(2 * b + 1 for b in bounds.exp_max)
+    if work > budget:
+        raise BudgetError(
+            f"e-set filters walk {work} base and exponent tuples, over the budget "
+            f"of {budget}; raise --budget"
+        )
+    if max(bounds.base_max) > table.limit:
+        raise ValueError("base bound exceeds factor table limit")
+    gpf = _greatest_prime_factors(table)
+    columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
+    clean = np.nonzero(~_large_prime_power_grid(columns, param.cutoff, table))
+    bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
+    return bases, _admissible_exps(bounds.exp_max, param)
+
+
 def count_e_set(
     bounds: Bounds,
     param: FilterParameter,
@@ -193,28 +284,10 @@ def count_e_set(
 ) -> tuple[int, float]:
     """Exact size of the e-set in the box, with its density against 2**n * prod(A_i B_i).
 
-    Conditions 1 and 2 touch only the bases and condition 3 only the exponents,
-    so the count factors as (#admissible base tuples) * (#admissible exponent
-    tuples); both factors are enumerated exhaustively, so the budget is charged
-    prod(A_i) + prod(2 B_i + 1) tuples.
+    The budget is charged prod(A_i) + prod(2 B_i + 1), the tuples the filters visit.
     """
-    work = math.prod(bounds.base_max) + math.prod(2 * bm + 1 for bm in bounds.exp_max)
-    if work > budget:
-        raise BudgetError(
-            f"e-set count walks {work} tuples, over the budget of {budget}; raise --budget"
-        )
-    base_ranges = [range(1, a + 1) for a in bounds.base_max]
-    good_bases = sum(
-        1
-        for bases in itertools.product(*base_ranges)
-        if not has_large_prime_power(bases, param, table)
-        and not has_smooth_base(bases, param, table)
-    )
-    exp_ranges = [range(-bm, bm + 1) for bm in bounds.exp_max]
-    good_exps = sum(
-        1 for exps in itertools.product(*exp_ranges) if not has_bounded_relation(exps, param)
-    )
-    count = good_bases * good_exps
+    bases, exps = _admissible_tuples(bounds, param, table, budget)
+    count = len(bases) * len(exps)
     denom = 2**bounds.n * math.prod(
         a * bm for a, bm in zip(bounds.base_max, bounds.exp_max)
     )

@@ -10,16 +10,15 @@ under (up to an absolute constant), evaluated by ``condition_bound``:
 * condition 2: prod(A_i) * sum_i exp(-u_i / 2) with C**u_i = A_i
 * condition 3: prod(B_i) * sum_i (9 ln C)**n / B_i
 
-Counts are exact, never sampled.  Small boxes are enumerated directly; larger
-one- and two-coordinate boxes use sieve masks and a divisor-lattice
-inclusion-exclusion that agree with direct enumeration (property-tested).
+Counts are exact, never sampled.  Conditions 1 and 3 are counted on the
+filter engine of :mod:`logforms.conditions`, except for closed forms on pair
+exponent boxes and a divisor-lattice inclusion-exclusion on large pair base
+boxes; all agree with direct enumeration (property-tested).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,10 @@ import numpy as np
 from .core import Bounds, BudgetError, FactorTable, factorize
 from .conditions import (
     FilterParameter,
-    has_bounded_relation,
-    has_large_prime_power,
+    _admissible_exps,
+    _greatest_prime_factors,
+    _large_prime_power_grid,
+    _min_bad_exponent,
 )
 
 __all__ = [
@@ -41,21 +42,8 @@ __all__ = [
     "check_condition",
 ]
 
-# Boxes at most this large are counted by literal tuple enumeration.
+# Two-coordinate boxes at most this large are counted on the full base grid.
 _DIRECT_LIMIT = 200_000
-
-_gpf_cache: "weakref.WeakKeyDictionary[FactorTable, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
-def _greatest_prime_factors(table: FactorTable) -> np.ndarray:
-    """gpf[m] = largest prime factor of m (gpf[0] = gpf[1] = 0), cached per table."""
-    gpf = _gpf_cache.get(table)
-    if gpf is None:
-        gpf = np.zeros(table.limit + 1, dtype=np.int32)
-        for p in table.primes():
-            gpf[p::p] = p  # ascending primes, so the last write wins
-        _gpf_cache[table] = gpf
-    return gpf
 
 
 def smooth_count(x: int, y: float, table: FactorTable) -> int:
@@ -69,27 +57,6 @@ def smooth_count(x: int, y: float, table: FactorTable) -> int:
     return int(np.count_nonzero(gpf[1 : x + 1] <= y))
 
 
-def _min_bad_exponent(p: int, cutoff: float) -> int:
-    """Smallest k >= 2 with p**k >= cutoff."""
-    k = 2
-    pk = p * p
-    while pk < cutoff:
-        k += 1
-        pk *= p
-    return k
-
-
-def _bad_alone_mask(limit: int, cutoff: float, table: FactorTable) -> np.ndarray:
-    """mask[a] = True iff the single base a already satisfies condition 1."""
-    mask = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, math.isqrt(limit) + 1):
-        if int(table.spf[p]) == p:
-            q = p ** _min_bad_exponent(p, cutoff)
-            if q <= limit:
-                mask[q::q] = True
-    return mask
-
-
 def count_large_prime_power(
     bounds: Bounds,
     param: FilterParameter,
@@ -99,27 +66,21 @@ def count_large_prime_power(
 ) -> int:
     """Exact count of base tuples in the box satisfying condition 1.
 
-    Exponents never matter, so only the base box prod(A_i) is enumerated.
-    One- and two-coordinate boxes use sieve masks and, for pairs, an
-    inclusion-exclusion over the divisor demands each clean partner value
-    places on the other coordinate; wider boxes are enumerated directly.
+    Exponents never matter, so only the base box prod(A_i) is involved.  It is
+    tested whole by the filter engine, charged prod(A_i) against the budget,
+    except for large pair boxes: those use an inclusion-exclusion over the
+    divisor demands each clean partner value places on the other coordinate.
     """
     a_max = bounds.base_max
     space = math.prod(a_max)
-    if bounds.n == 1:
-        if a_max[0] > table.limit:
-            raise ValueError("base bound exceeds factor table limit")
-        mask = _bad_alone_mask(a_max[0], param.cutoff, table)
-        return int(mask[1 : a_max[0] + 1].sum())
+    if max(a_max) > table.limit:
+        raise ValueError("base bound exceeds factor table limit")
     if bounds.n == 2 and space > _DIRECT_LIMIT:
         return _count_pairs_large_prime_power(bounds, param, table)
     if space > budget:
         raise BudgetError(f"base space {space} exceeds budget {budget}")
-    return sum(
-        1
-        for bases in itertools.product(*(range(1, a + 1) for a in a_max))
-        if has_large_prime_power(bases, param, table)
-    )
+    grid = [np.arange(1, a + 1) for a in a_max]
+    return int(np.count_nonzero(_large_prime_power_grid(grid, param.cutoff, table)))
 
 
 def _count_pairs_large_prime_power(
@@ -138,11 +99,9 @@ def _count_pairs_large_prime_power(
     loop_i = 0 if bounds.base_max[0] <= bounds.base_max[1] else 1
     y_max = bounds.base_max[loop_i]
     x_max = bounds.base_max[1 - loop_i]
-    if max(x_max, y_max) > table.limit:
-        raise ValueError("base bound exceeds factor table limit")
-    clean_x = ~_bad_alone_mask(x_max, cutoff, table)
+    clean_x = ~_large_prime_power_grid([np.arange(x_max + 1)], cutoff, table)
+    clean_y = ~_large_prime_power_grid([np.arange(y_max + 1)], cutoff, table)
     clean_x[0] = False
-    clean_y = ~_bad_alone_mask(y_max, cutoff, table)
 
     stride_counts: dict[int, int] = {1: int(clean_x[1:].sum())}
 
@@ -191,8 +150,8 @@ def count_bounded_relation(
     For one coordinate only the zero vector qualifies.  For two coordinates the
     qualifying nonzero pairs are exactly the multiples of primitive directions
     (q, p) with both entries <= coeff_bound, which are disjoint families, so
-    the count closes to a double sum of floor divisions.  Wider boxes are
-    enumerated directly.
+    the count closes to a double sum of floor divisions.  Wider boxes count the
+    complement of the filter engine's admissible exponent tuples.
     """
     k = param.coeff_bound
     b_max = bounds.exp_max
@@ -211,11 +170,7 @@ def count_bounded_relation(
     space = math.prod(2 * b + 1 for b in b_max)
     if space > budget:
         raise BudgetError(f"exponent space {space} exceeds budget {budget}")
-    return sum(
-        1
-        for exps in itertools.product(*(range(-b, b + 1) for b in b_max))
-        if has_bounded_relation(exps, param)
-    )
+    return space - len(_admissible_exps(b_max, param))
 
 
 def condition_bound(condition: int, bounds: Bounds, param: FilterParameter) -> float:

@@ -1,5 +1,6 @@
 """Brute-force rational census, uniqueness verification, and permissibility."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,12 +22,18 @@ from logforms import (
     is_possible,
     main_term,
     permissibility_closed_form,
-    permissibility_fraction,
     possible_count,
     related_by_permutation,
     run_census,
     verify_unique_representation,
 )
+
+
+def _unfiltered_box(bounds, param, table, budget):
+    """Stand-in for the filter engine that lets every box tuple through."""
+    bases = list(itertools.product(*(range(1, a + 1) for a in bounds.base_max)))
+    exps = list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)))
+    return np.array(bases, dtype=np.int64), np.array(exps, dtype=np.int64)
 
 
 def _random_bounds(rng, max_space):
@@ -161,13 +168,7 @@ class TestVerifyUniqueRepresentation:
 
     def test_detects_collisions_when_filters_disabled(self, table_small, monkeypatch):
         # with every exclusion switched off, 2*3 and 6*1 collide at the value 6
-        monkeypatch.setattr(
-            census_module, "has_large_prime_power", lambda *a, **k: False
-        )
-        monkeypatch.setattr(census_module, "has_smooth_base", lambda *a, **k: False)
-        monkeypatch.setattr(
-            census_module, "has_bounded_relation", lambda *a, **k: False
-        )
+        monkeypatch.setattr(census_module, "_admissible_tuples", _unfiltered_box)
         violations = verify_unique_representation(
             Bounds((6, 6), (1, 1)),
             table_small,
@@ -186,11 +187,51 @@ class TestVerifyUniqueRepresentation:
         assert first_value == second_value == seen.value.value()
         assert related_by_permutation(seen.first, seen.second) is None
 
+    def test_violations_match_grouping_oracle(self, table_small, monkeypatch):
+        # the unfiltered box has many collisions; the sort must report exactly
+        # the values that a plain grouping by value and orbit finds
+        monkeypatch.setattr(census_module, "_admissible_tuples", _unfiltered_box)
+        rng = random.Random(246)
+        wide_keys = [Bounds((160, 2), (1, 1)), Bounds((235, 2), (2, 1))]
+        found = 0
+        for bounds in wide_keys + [_random_bounds(rng, 6_000) for _ in range(10)]:
+            param = FilterParameter.from_cutoff(2.0)
+            violations = verify_unique_representation(bounds, table_small, param=param)
+            groups = {}
+            for bases in itertools.product(*(range(1, a + 1) for a in bounds.base_max)):
+                for exps in itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)):
+                    value = canonical_form(FormTuple(bases, exps), table_small)
+                    groups.setdefault(value, set()).add(tuple(sorted(zip(bases, exps))))
+            expected = {value for value, orbits in groups.items() if len(orbits) > 1}
+            reported = [v.value for v in violations]
+            assert len(reported) == len(set(reported))
+            assert set(reported) == expected, bounds
+            found += len(expected)
+            for v in violations:
+                assert canonical_form(v.first, table_small) == v.value
+                assert canonical_form(v.second, table_small) == v.value
+                assert related_by_permutation(v.first, v.second) is None
+        assert found > 100
+
     def test_budget_guard(self, table_small):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"walk 3099 .*--budget"):
             verify_unique_representation(
                 Bounds((50, 60), (4, 5)), table_small, budget=10**3
             )
+        # the filters fit 4000, the 32 640 e-set members do not
+        with pytest.raises(BudgetError, match=r"key 32640 .*--budget"):
+            verify_unique_representation(
+                Bounds((50, 60), (4, 5)), table_small, budget=4000
+            )
+
+    def test_budget_charges_the_work_done(self, table_small):
+        # 9.4 million box tuples, but only 30 069 filter visits and 55 680 members
+        assert (
+            verify_unique_representation(
+                Bounds((27, 29, 38), (4, 3, 2)), table_small, budget=10**6
+            )
+            == []
+        )
 
 
 class TestRelatedByPermutation:
@@ -253,23 +294,6 @@ class TestPermissibility:
             assert permissibility_closed_form(sigma, bounds) == Fraction(
                 possible_count(sigma, bounds), bounds.tuple_space()
             )
-
-    def test_fraction_exact_when_space_is_small(self):
-        swap = Permutation((1, 0))
-        bounds = Bounds((3, 30), (2, 40))
-        value = permissibility_fraction(swap, bounds)
-        assert value == pytest.approx(1 / 162)
-
-    def test_fraction_sampling_is_seeded(self):
-        swap = Permutation((1, 0))
-        bounds = Bounds((40, 50), (30, 40))  # space far above the sample budget
-        first = permissibility_fraction(swap, bounds, sample_budget=10**3, seed=31)
-        second = permissibility_fraction(swap, bounds, sample_budget=10**3, seed=31)
-        other = permissibility_fraction(swap, bounds, sample_budget=10**3, seed=32)
-        assert first == second
-        exact = float(permissibility_closed_form(swap, bounds))
-        assert abs(first - exact) < 0.05
-        assert abs(other - exact) < 0.05
 
     def test_separated_swap_probability_decays(self):
         swap = Permutation((1, 0))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import logforms.conditions as conditions_module
 from logforms import (
     Bounds,
     BudgetError,
@@ -13,6 +14,7 @@ from logforms import (
     FilterParameter,
     FormTuple,
     count_e_set,
+    count_large_prime_power,
     default_cutoff,
     has_bounded_relation,
     has_large_prime_power,
@@ -196,3 +198,36 @@ class TestESet:
         assert count_e_set(bounds, param, table_small, budget=4000) == count_e_set(
             bounds, param, table_small
         )
+
+
+class TestFilterEngine:
+    def test_matches_scalar_predicates(self, table_small):
+        # the engine's base and exponent sets against the per-tuple predicates
+        rng = random.Random(55)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            while True:
+                base_max = tuple(rng.randint(1, 200) for _ in range(n))
+                if math.prod(base_max) <= 5_000:
+                    break
+            exp_max = tuple(rng.randint(1, 4 if n < 4 else 2) for _ in range(n))
+            bounds = Bounds(base_max, exp_max)
+            param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, 100]))
+            bases, exps = conditions_module._admissible_tuples(
+                bounds, param, table_small, 10**8
+            )
+            all_bases = list(itertools.product(*(range(1, a + 1) for a in base_max)))
+            prime_power = [has_large_prime_power(b, param, table_small) for b in all_bases]
+            expected_bases = [
+                b
+                for b, bad in zip(all_bases, prime_power)
+                if not bad and not has_smooth_base(b, param, table_small)
+            ]
+            expected_exps = [
+                e
+                for e in itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))
+                if not has_bounded_relation(e, param)
+            ]
+            assert [tuple(b) for b in bases.tolist()] == expected_bases, (bounds, param)
+            assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)
+            assert count_large_prime_power(bounds, param, table_small) == sum(prime_power)
