@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -128,8 +129,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
     if ns.budget < 1:
         parser.error("--budget must be >= 1")
-    if ns.cutoff is not None and ns.cutoff < 2:
-        parser.error(f"--C must be >= 2, got {ns.cutoff}")
+    if ns.cutoff is not None and not 2 <= ns.cutoff < math.inf:
+        parser.error(f"--C must be finite and >= 2, got {ns.cutoff}")
 
     scales = None
     shape = None

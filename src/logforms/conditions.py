@@ -67,8 +67,8 @@ class FilterParameter:
     coeff_bound: int
 
     def __post_init__(self) -> None:
-        if not (self.cutoff >= 2.0):
-            raise ConfigError(f"cutoff {self.cutoff} must be >= 2")
+        if not 2.0 <= self.cutoff < math.inf:
+            raise ConfigError(f"cutoff {self.cutoff} must be finite and >= 2")
         expected = math.floor(2.0 * math.log(self.cutoff))
         if self.coeff_bound != expected:
             raise ConfigError(
@@ -79,8 +79,8 @@ class FilterParameter:
     @classmethod
     def from_cutoff(cls, cutoff: float) -> "FilterParameter":
         cutoff = float(cutoff)
-        if not (cutoff >= 2.0):
-            raise ConfigError(f"cutoff {cutoff} must be >= 2")
+        if not 2.0 <= cutoff < math.inf:
+            raise ConfigError(f"cutoff {cutoff} must be finite and >= 2")
         return cls(cutoff, math.floor(2.0 * math.log(cutoff)))
 
 

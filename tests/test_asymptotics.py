@@ -132,6 +132,34 @@ class TestConstrainedPermCount:
             constrained_perm_count(BlockIndex((1, 1), (1, 2)), ordered)
 
 
+def _block_sum_oracle(bounds, full_first_block):
+    """The main term by its definition: every ordered block assignment adds its
+    width product divided by the permutations it admits."""
+    n = bounds.n
+    ordered = order_bounds(bounds, sentinel=0 if full_first_block else 1)
+    base_edges = (ordered.sentinel,) + ordered.base_sorted
+    exp_edges = (ordered.sentinel,) + ordered.exp_sorted
+    base_widths = [base_edges[k] - base_edges[k - 1] for k in range(1, n + 1)]
+    exp_widths = [exp_edges[k] - exp_edges[k - 1] for k in range(1, n + 1)]
+    choices = [
+        [
+            (i, j)
+            for i in range(1, k + 2)
+            for j in range(1, ordered.exp_ranks[k] + 1)
+            if base_widths[i - 1] and exp_widths[j - 1]
+        ]
+        for k in range(n)
+    ]
+    total = Fraction(0)
+    for assignment in itertools.product(*choices):
+        block = BlockIndex(
+            tuple(i for i, _ in assignment), tuple(j for _, j in assignment)
+        )
+        widths = math.prod(base_widths[i - 1] * exp_widths[j - 1] for i, j in assignment)
+        total += Fraction(widths, constrained_perm_count(block, ordered))
+    return 2**n * total
+
+
 class TestMainTerm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("base,exp", [(5, 4), (10, 7)])
@@ -190,6 +218,35 @@ class TestMainTerm:
                 (a - 1) * (b - 1) for a, b in zip(bounds.base_max, bounds.exp_max)
             )
             assert Fraction(shrunk, math.factorial(n)) <= value <= shrunk
+
+    def test_matches_block_sum_oracle(self):
+        rng = random.Random(777)
+        for trial in range(40):
+            n = rng.randint(1, 5)
+            # small value ranges force ties among base and exponent bounds
+            bounds = Bounds(
+                tuple(rng.choice((4, 9, rng.randint(2, 25))) for _ in range(n)),
+                tuple(rng.choice((3, 5, rng.randint(1, 9))) for _ in range(n)),
+            )
+            full = trial % 2 == 1
+            assert main_term_exact(bounds, full_first_block=full) == _block_sum_oracle(
+                bounds, full
+            )
+
+    def test_seven_and_eight_coordinates(self):
+        rng = random.Random(888)
+        for pairs in (
+            [(9, 5), (14, 2), (20, 8), (27, 3), (33, 7), (41, 4), (50, 6)],
+            [(8, 3), (11, 9), (17, 2), (23, 6), (30, 4), (38, 8), (45, 5), (52, 7)],
+        ):
+            n = len(pairs)
+            bounds = Bounds(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+            value = main_term_exact(bounds)
+            shrunk = 2**n * math.prod((a - 1) * (b - 1) for a, b in pairs)
+            assert Fraction(shrunk, math.factorial(n)) <= value <= shrunk
+            rng.shuffle(pairs)
+            shuffled = Bounds(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+            assert main_term_exact(shuffled) == value
 
     def test_full_first_block_equal_bounds(self):
         for n in (1, 2, 3):

@@ -19,6 +19,7 @@ from logforms import (
     canonical_form,
     convergence_run,
     count_distinct_rationals,
+    count_e_set,
     is_possible,
     main_term,
     permissibility_closed_form,
@@ -232,6 +233,13 @@ class TestVerifyUniqueRepresentation:
             )
             == []
         )
+
+    def test_three_coordinates_with_members(self, table_small):
+        # cutoff ln 15 gives coefficient bound 1; 133 056 e-set members are checked
+        bounds = Bounds((15, 15, 15), (6, 6, 6))
+        param = FilterParameter.from_cutoff(math.log(15))
+        assert count_e_set(bounds, param, table_small)[0] > 0
+        assert verify_unique_representation(bounds, table_small, param=param) == []
 
 
 class TestRelatedByPermutation:

@@ -76,6 +76,7 @@ class TestParseArgs:
             ["converge", "-n", "2"],  # --scales missing
             ["converge", "--scales", "3,5", "--shape", "custom"],  # no base box
             ["no-such-command"],
+            ["e-set", "-A", "50,60", "-B", "4,5", "--C", "inf"],  # cutoff not finite
         ],
     )
     def test_usage_errors_exit_2(self, argv):

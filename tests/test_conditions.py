@@ -33,6 +33,10 @@ class TestFilterParameter:
         with pytest.raises(ConfigError):
             FilterParameter.from_cutoff(1.9)
 
+    def test_rejects_non_finite_cutoff(self):
+        with pytest.raises(ConfigError):
+            FilterParameter.from_cutoff(float("inf"))
+
     def test_rejects_inconsistent_coeff_bound(self):
         with pytest.raises(ConfigError):
             FilterParameter(cutoff=4.0, coeff_bound=7)
