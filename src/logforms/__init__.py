@@ -16,11 +16,9 @@ from .core import (
     FactorTable,
     FormTuple,
     Permutation,
-    apply_permutation,
     build_factor_table,
     canonical_form,
     factorize,
-    is_possible,
 )
 from .conditions import (
     FilterParameter,
@@ -43,7 +41,6 @@ from .smooth import (
 from .asymptotics import (
     BlockIndex,
     OrderedBounds,
-    constrained_perm_count,
     leading_term_envelope,
     main_term,
     main_term_exact,
@@ -61,7 +58,6 @@ from .census import (
     count_distinct_rationals,
     permissibility_closed_form,
     possible_count,
-    related_by_permutation,
     run_census,
     verify_unique_representation,
 )
@@ -76,11 +72,9 @@ __all__ = [
     "FactorTable",
     "FormTuple",
     "Permutation",
-    "apply_permutation",
     "build_factor_table",
     "canonical_form",
     "factorize",
-    "is_possible",
     "FilterParameter",
     "count_e_set",
     "default_cutoff",
@@ -97,7 +91,6 @@ __all__ = [
     "smooth_count",
     "BlockIndex",
     "OrderedBounds",
-    "constrained_perm_count",
     "leading_term_envelope",
     "main_term",
     "main_term_exact",
@@ -113,7 +106,6 @@ __all__ = [
     "count_distinct_rationals",
     "permissibility_closed_form",
     "possible_count",
-    "related_by_permutation",
     "run_census",
     "verify_unique_representation",
     "__version__",

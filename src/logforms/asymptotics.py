@@ -34,7 +34,6 @@ __all__ = [
     "OrderedBounds",
     "BlockIndex",
     "order_bounds",
-    "constrained_perm_count",
     "permanent_brute",
     "permanent_ryser",
     "main_term",
@@ -56,15 +55,12 @@ class OrderedBounds:
     ``base_sorted`` holds the base bounds in nondecreasing order and
     ``exp_by_base`` the exponent bounds carried along with their bases.
     ``exp_sort`` lists coordinate positions in nondecreasing ``exp_by_base``
-    order, so ``exp_sorted`` is monotone.  ``sentinel`` is the width origin
-    of the first block (1 for the literal formula, 0 for the full-width
-    variant used in convergence studies).
+    order, so ``exp_sorted`` is monotone.
     """
 
     base_sorted: tuple[int, ...]
     exp_by_base: tuple[int, ...]
     exp_sort: Permutation
-    sentinel: int = 1
 
     def __post_init__(self) -> None:
         n = len(self.base_sorted)
@@ -74,8 +70,6 @@ class OrderedBounds:
             raise ValueError("base bounds must be nondecreasing")
         if any(x > y for x, y in zip(self.exp_sorted, self.exp_sorted[1:])):
             raise ValueError("exp_sort must sort the exponent bounds")
-        if self.sentinel not in (0, 1):
-            raise ValueError("sentinel must be 0 or 1")
 
     @property
     def n(self) -> int:
@@ -116,14 +110,14 @@ class BlockIndex:
                 raise ValueError(f"exp block {j} out of range 1..{n}")
 
 
-def order_bounds(bounds: Bounds, *, sentinel: int = 1) -> OrderedBounds:
+def order_bounds(bounds: Bounds) -> OrderedBounds:
     """Sort the bounds for block decomposition; ties keep original order."""
     n = bounds.n
     by_base = sorted(range(n), key=lambda m: bounds.base_max[m])
     base_sorted = tuple(bounds.base_max[m] for m in by_base)
     exp_by_base = tuple(bounds.exp_max[m] for m in by_base)
     by_exp = sorted(range(n), key=lambda m: exp_by_base[m])
-    return OrderedBounds(base_sorted, exp_by_base, Permutation(tuple(by_exp)), sentinel)
+    return OrderedBounds(base_sorted, exp_by_base, Permutation(tuple(by_exp)))
 
 
 def permanent_brute(matrix: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> int:
@@ -182,28 +176,7 @@ def permanent_ryser(matrix: list[tuple[int, ...]] | tuple[tuple[int, ...], ...])
     return total
 
 
-def constrained_perm_count(block: BlockIndex, ordered: OrderedBounds) -> int:
-    """Number of coordinate permutations compatible with a block assignment.
-
-    Counts bijections sigma with base_blocks[sigma(l)] <= l and
-    exp_blocks[sigma(l)] <= exp rank of l, for every coordinate l (1-based).
-    At least 1 for any block index valid for these bounds: the identity
-    always qualifies.
-    """
-    n = ordered.n
-    if len(block.base_blocks) != n:
-        raise ValueError("block index size disagrees with bounds")
-    ranks = ordered.exp_ranks
-    for k, j in enumerate(block.exp_blocks):
-        if j > ranks[k]:
-            raise ValueError(f"exp block {j} exceeds rank {ranks[k]} at coordinate {k + 1}")
-    columns = tuple(zip(block.base_blocks, block.exp_blocks))
-    return permanent_ryser(
-        [tuple(int(i <= l + 1 and j <= ranks[l]) for i, j in columns) for l in range(n)]
-    )
-
-
-def main_term_exact(bounds: Bounds, *, full_first_block: bool = False) -> Fraction:
+def main_term_exact(bounds: Bounds) -> Fraction:
     """Exact value of the block-decomposition counting polynomial.
 
     Equals 2**n / n! times the sum, over the multisets M of n block columns
@@ -214,17 +187,13 @@ def main_term_exact(bounds: Bounds, *, full_first_block: bool = False) -> Fracti
     integer sum so far; after base block i+1 is added, row i takes the
     unplaced column with the largest exponent block it accepts, a greedy
     choice that finds an arrangement whenever one exists.
-
-    With ``full_first_block`` the first block in each direction starts at 0
-    instead of 1, an asymptotically equivalent variant whose value is the
-    plain product bound when n = 1.
     """
     n = bounds.n
     if n > _MAIN_TERM_MAX:
         raise ConfigError(f"main term limited to {_MAIN_TERM_MAX} coordinates")
-    ordered = order_bounds(bounds, sentinel=0 if full_first_block else 1)
-    base_edges = (ordered.sentinel,) + ordered.base_sorted
-    exp_edges = (ordered.sentinel,) + ordered.exp_sorted
+    ordered = order_bounds(bounds)
+    base_edges = (1,) + ordered.base_sorted
+    exp_edges = (1,) + ordered.exp_sorted
     base_widths = [base_edges[k] - base_edges[k - 1] for k in range(1, n + 1)]
     exp_widths = [exp_edges[k] - exp_edges[k - 1] for k in range(1, n + 1)]
     ranks = ordered.exp_ranks
@@ -252,9 +221,9 @@ def main_term_exact(bounds: Bounds, *, full_first_block: bool = False) -> Fracti
     return Fraction(2**n * states.get((0,) * n, 0), math.factorial(n))
 
 
-def main_term(bounds: Bounds, *, full_first_block: bool = False) -> float:
+def main_term(bounds: Bounds) -> float:
     """Float convenience wrapper over ``main_term_exact``."""
-    return float(main_term_exact(bounds, full_first_block=full_first_block))
+    return float(main_term_exact(bounds))
 
 
 def symmetric_leading_term(n: int, base_max: float, exp_max: float) -> float:

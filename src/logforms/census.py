@@ -16,7 +16,7 @@ wider than one word are ordered by a linear 64-bit fingerprint (Karp-Rabin
 style), and every run of equal fingerprints is certified on the exact keys,
 so a collision costs time, never a wrong count.  A second, deliberately
 independent strategy ("sorted") re-derives each tuple's full prime
-factorization and deduplicates by sorting the serialized forms; the two must
+factorization and deduplicates by sorting the canonical forms; the two must
 agree exactly and the test suite holds them to that.
 """
 
@@ -53,7 +53,6 @@ __all__ = [
     "ConvergenceResult",
     "count_distinct_rationals",
     "verify_unique_representation",
-    "related_by_permutation",
     "possible_count",
     "permissibility_closed_form",
     "run_census",
@@ -242,18 +241,18 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
 
 
 def _count_sorted(bounds: Bounds, table: FactorTable) -> int:
-    """Independent census route: serialize every tuple's factored value,
-    sort, and count runs.  Shares no dedup machinery with the key path."""
-    encodings: list[bytes] = []
+    """Independent census route: sort every tuple's exact canonical form and
+    count runs.  Shares no dedup machinery with the key path."""
+    forms: list[tuple[tuple[int, int], ...]] = []
     base_ranges = [range(1, a + 1) for a in bounds.base_max]
     exp_ranges = [range(-b, b + 1) for b in bounds.exp_max]
     for bases in itertools.product(*base_ranges):
         for exps in itertools.product(*exp_ranges):
             form = canonical_form(FormTuple(bases, exps), table)
-            encodings.append(form.encode())
-    encodings.sort()
+            forms.append(form.factors)
+    forms.sort()
     return sum(
-        1 for k, enc in enumerate(encodings) if k == 0 or enc != encodings[k - 1]
+        1 for k, form in enumerate(forms) if k == 0 or form != forms[k - 1]
     )
 
 
@@ -344,34 +343,11 @@ def verify_unique_representation(
     return violations
 
 
-def related_by_permutation(first: FormTuple, second: FormTuple) -> Permutation | None:
-    """A permutation sending the first tuple onto the second, or None.
-
-    The returned permutation satisfies apply_permutation(first, sigma) ==
-    second.
-    """
-    n = len(first.bases)
-    if len(second.bases) != n:
-        raise ValueError("tuples must have the same number of coordinates")
-    used = [False] * n
-    images = []
-    for i in range(n):
-        target = (second.bases[i], second.exps[i])
-        for j in range(n):
-            if not used[j] and (first.bases[j], first.exps[j]) == target:
-                used[j] = True
-                images.append(j)
-                break
-        else:
-            return None
-    return Permutation(tuple(images))
-
-
 def possible_count(sigma: Permutation, bounds: Bounds) -> int:
     """How many box tuples the permutation keeps inside the box (full loop).
 
-    Tests every tuple against the bounds its coordinates move to, as
-    ``is_possible`` does, so the count stays independent of the closed form.
+    Tests every tuple against the bounds its coordinates move to, so the count
+    stays independent of the closed form.
     """
     if len(sigma.images) != bounds.n:
         raise ValueError("permutation size disagrees with bounds")
@@ -414,7 +390,6 @@ def run_census(
     table: FactorTable | None = None,
     *,
     budget: int = 10**8,
-    strategy: str = "set",
     formula: float | None = None,
     param: FilterParameter | None = None,
 ) -> CensusReport:
@@ -425,7 +400,7 @@ def run_census(
     """
     table = _usable_table(table, max(bounds.base_max))
     start = time.perf_counter()
-    exact = count_distinct_rationals(bounds, table, budget=budget, strategy=strategy)
+    exact = count_distinct_rationals(bounds, table, budget=budget)
     if formula is None:
         formula = main_term(bounds)
     if param is None:

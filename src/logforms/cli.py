@@ -343,6 +343,13 @@ def run(config: RunConfig) -> int:
     except (BudgetError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # exit 1 means a violation was found; running out of memory is a resource error
+        print(
+            f"error: out of memory in {config.command}; shrink the box or lower --budget",
+            file=sys.stderr,
+        )
+        return 2
     if config.format == "json":
         payload = {
             "config": _normalize(_config_payload(config)),

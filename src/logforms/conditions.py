@@ -61,27 +61,21 @@ _gpf_cache: "weakref.WeakKeyDictionary[FactorTable, np.ndarray]" = weakref.WeakK
 
 @dataclass(frozen=True)
 class FilterParameter:
-    """Cutoff C >= 2 together with its derived coefficient bound floor(2 ln C)."""
+    """Cutoff C >= 2; its coefficient bound floor(2 ln C) is derived."""
 
     cutoff: float
-    coeff_bound: int
 
     def __post_init__(self) -> None:
         if not 2.0 <= self.cutoff < math.inf:
             raise ConfigError(f"cutoff {self.cutoff} must be finite and >= 2")
-        expected = math.floor(2.0 * math.log(self.cutoff))
-        if self.coeff_bound != expected:
-            raise ConfigError(
-                f"coeff_bound {self.coeff_bound} inconsistent with cutoff "
-                f"{self.cutoff} (expected {expected})"
-            )
+
+    @property
+    def coeff_bound(self) -> int:
+        return math.floor(2.0 * math.log(self.cutoff))
 
     @classmethod
     def from_cutoff(cls, cutoff: float) -> "FilterParameter":
-        cutoff = float(cutoff)
-        if not 2.0 <= cutoff < math.inf:
-            raise ConfigError(f"cutoff {cutoff} must be finite and >= 2")
-        return cls(cutoff, math.floor(2.0 * math.log(cutoff)))
+        return cls(float(cutoff))
 
 
 def default_cutoff(bounds: Bounds) -> FilterParameter:
@@ -127,17 +121,12 @@ def has_smooth_base(
     return any(all(p <= c for p, _ in factorize(a, table)) for a in bases)
 
 
-def has_bounded_relation(
-    exps: Sequence[int],
-    param: FilterParameter,
-    *,
-    mitm_threshold: int = _MITM_THRESHOLD,
-) -> bool:
+def has_bounded_relation(exps: Sequence[int], param: FilterParameter) -> bool:
     """Condition 3: a nonzero integer vector c with |c_i| <= coeff_bound and
     c_1*b_1 + ... + c_n*b_n = 0 exists.
 
     Exhaustive over the coefficient box; switches to meet-in-the-middle on the
-    two coordinate halves when the box holds more than ``mitm_threshold``
+    two coordinate halves when the box holds more than ``_MITM_THRESHOLD``
     vectors.
     """
     k = param.coeff_bound
@@ -152,7 +141,7 @@ def has_bounded_relation(
     if len({abs(x) for x in b}) < n:
         return True  # matching magnitudes cancel with coefficients +-1
     width = 2 * k + 1
-    if width**n <= mitm_threshold:
+    if width**n <= _MITM_THRESHOLD:
         rng = range(-k, k + 1)
         for c in itertools.product(rng, repeat=n):
             if any(c) and sum(ci * bi for ci, bi in zip(c, b)) == 0:

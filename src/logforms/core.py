@@ -14,10 +14,8 @@ width guard is needed anywhere in this module.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +30,6 @@ __all__ = [
     "build_factor_table",
     "factorize",
     "canonical_form",
-    "apply_permutation",
-    "is_possible",
 ]
 
 
@@ -103,22 +99,6 @@ class FormTuple:
     def n(self) -> int:
         return len(self.bases)
 
-    def in_box(self, bounds: Bounds) -> bool:
-        if self.n != bounds.n:
-            return False
-        return all(
-            1 <= a <= amax and abs(b) <= bmax
-            for a, amax, b, bmax in zip(self.bases, bounds.base_max, self.exps, bounds.exp_max)
-        )
-
-    @classmethod
-    def checked(cls, bases: Sequence[int], exps: Sequence[int], bounds: Bounds) -> "FormTuple":
-        """Construct a tuple and verify it lies inside ``bounds``."""
-        t = cls(tuple(bases), tuple(exps))
-        if not t.in_box(bounds):
-            raise ValueError(f"tuple {t.bases}^{t.exps} outside box {bounds}")
-        return t
-
 
 @dataclass(frozen=True)
 class CanonicalRational:
@@ -146,17 +126,6 @@ class CanonicalRational:
             out *= Fraction(p) ** e
         return out
 
-    def reciprocal(self) -> "CanonicalRational":
-        return CanonicalRational(tuple((p, -e) for p, e in self.factors))
-
-    def encode(self) -> bytes:
-        """Fixed-order byte encoding: little-endian pair count, then (p, e) int64 pairs."""
-        flat: list[int] = []
-        for p, e in self.factors:
-            flat.append(p)
-            flat.append(e)
-        return struct.pack(f"<I{len(flat)}q", len(self.factors), *flat)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -174,25 +143,11 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, img in enumerate(self.images):
             inv[img] = i
         return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Permutation r with r(i) = self(other(i)).
-
-        Satisfies apply_permutation(apply_permutation(t, self), other)
-        == apply_permutation(t, self.compose(other)).
-        """
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.images[j] for j in other.images))
 
 
 class FactorTable:
@@ -218,7 +173,7 @@ class FactorTable:
         return f"FactorTable(limit={self.limit})"
 
 
-def build_factor_table(limit: int, *, max_limit: int = _SIEVE_CAP) -> FactorTable:
+def build_factor_table(limit: int) -> FactorTable:
     """Sieve smallest prime factors for every integer up to ``limit``.
 
     limit = 1 yields an empty table (there are no integers >= 2 to factor).
@@ -226,8 +181,8 @@ def build_factor_table(limit: int, *, max_limit: int = _SIEVE_CAP) -> FactorTabl
     limit = int(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit > max_limit:
-        raise BudgetError(f"sieve limit {limit} exceeds memory budget {max_limit}")
+    if limit > _SIEVE_CAP:
+        raise BudgetError(f"sieve limit {limit} exceeds memory budget {_SIEVE_CAP}")
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -276,29 +231,3 @@ def canonical_form(t: FormTuple, table: FactorTable) -> CanonicalRational:
             acc[p] = acc.get(p, 0) + b * e
     factors = tuple((p, acc[p]) for p in sorted(acc) if acc[p] != 0)
     return CanonicalRational(factors)
-
-
-def apply_permutation(t: FormTuple, sigma: Permutation) -> FormTuple:
-    """The reordered tuple u with u[i] = t[sigma(i)]."""
-    if sigma.n != t.n:
-        raise ValueError("permutation size does not match tuple size")
-    img = sigma.images
-    return FormTuple(
-        tuple(t.bases[img[i]] for i in range(t.n)),
-        tuple(t.exps[img[i]] for i in range(t.n)),
-    )
-
-
-def is_possible(sigma: Permutation, t: FormTuple, bounds: Bounds) -> bool:
-    """Whether the reordering of ``t`` by ``sigma`` stays inside ``bounds``.
-
-    True iff for every i: t.bases[sigma(i)] <= base_max[i] and
-    |t.exps[sigma(i)]| <= exp_max[i].
-    """
-    if not (sigma.n == t.n == bounds.n):
-        raise ValueError("permutation, tuple and bounds must share one size")
-    img = sigma.images
-    return all(
-        t.bases[img[i]] <= bounds.base_max[i] and abs(t.exps[img[i]]) <= bounds.exp_max[i]
-        for i in range(t.n)
-    )

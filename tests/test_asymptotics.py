@@ -13,7 +13,6 @@ from logforms import (
     ConfigError,
     OrderedBounds,
     Permutation,
-    constrained_perm_count,
     leading_term_envelope,
     main_term,
     main_term_exact,
@@ -86,6 +85,27 @@ class TestPermanents:
             permanent_ryser(matrix)
 
 
+def constrained_perm_count(block: BlockIndex, ordered: OrderedBounds) -> int:
+    """Number of coordinate permutations compatible with a block assignment.
+
+    Counts bijections sigma with base_blocks[sigma(l)] <= l and
+    exp_blocks[sigma(l)] <= exp rank of l, for every coordinate l (1-based).
+    At least 1 for any block index valid for these bounds: the identity
+    always qualifies.
+    """
+    n = ordered.n
+    if len(block.base_blocks) != n:
+        raise ValueError("block index size disagrees with bounds")
+    ranks = ordered.exp_ranks
+    for k, j in enumerate(block.exp_blocks):
+        if j > ranks[k]:
+            raise ValueError(f"exp block {j} exceeds rank {ranks[k]} at coordinate {k + 1}")
+    columns = tuple(zip(block.base_blocks, block.exp_blocks))
+    return permanent_ryser(
+        [tuple(int(i <= l + 1 and j <= ranks[l]) for i, j in columns) for l in range(n)]
+    )
+
+
 class TestConstrainedPermCount:
     @pytest.fixture()
     def ordered3(self):
@@ -132,13 +152,13 @@ class TestConstrainedPermCount:
             constrained_perm_count(BlockIndex((1, 1), (1, 2)), ordered)
 
 
-def _block_sum_oracle(bounds, full_first_block):
+def _block_sum_oracle(bounds):
     """The main term by its definition: every ordered block assignment adds its
     width product divided by the permutations it admits."""
     n = bounds.n
-    ordered = order_bounds(bounds, sentinel=0 if full_first_block else 1)
-    base_edges = (ordered.sentinel,) + ordered.base_sorted
-    exp_edges = (ordered.sentinel,) + ordered.exp_sorted
+    ordered = order_bounds(bounds)
+    base_edges = (1,) + ordered.base_sorted
+    exp_edges = (1,) + ordered.exp_sorted
     base_widths = [base_edges[k] - base_edges[k - 1] for k in range(1, n + 1)]
     exp_widths = [exp_edges[k] - exp_edges[k - 1] for k in range(1, n + 1)]
     choices = [
@@ -170,7 +190,6 @@ class TestMainTerm:
 
     def test_single_coordinate(self):
         assert main_term_exact(Bounds((9,), (4,))) == 2 * 8 * 3
-        assert main_term_exact(Bounds((9,), (4,)), full_first_block=True) == 2 * 9 * 4
 
     def test_hand_worked_pair(self):
         assert main_term_exact(Bounds((2, 8), (9, 3))) == 440
@@ -221,17 +240,14 @@ class TestMainTerm:
 
     def test_matches_block_sum_oracle(self):
         rng = random.Random(777)
-        for trial in range(40):
+        for _ in range(40):
             n = rng.randint(1, 5)
             # small value ranges force ties among base and exponent bounds
             bounds = Bounds(
                 tuple(rng.choice((4, 9, rng.randint(2, 25))) for _ in range(n)),
                 tuple(rng.choice((3, 5, rng.randint(1, 9))) for _ in range(n)),
             )
-            full = trial % 2 == 1
-            assert main_term_exact(bounds, full_first_block=full) == _block_sum_oracle(
-                bounds, full
-            )
+            assert main_term_exact(bounds) == _block_sum_oracle(bounds)
 
     def test_seven_and_eight_coordinates(self):
         rng = random.Random(888)
@@ -247,14 +263,6 @@ class TestMainTerm:
             rng.shuffle(pairs)
             shuffled = Bounds(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
             assert main_term_exact(shuffled) == value
-
-    def test_full_first_block_equal_bounds(self):
-        for n in (1, 2, 3):
-            for base, exp in [(5, 4), (7, 3)]:
-                value = main_term_exact(
-                    Bounds((base,) * n, (exp,) * n), full_first_block=True
-                )
-                assert value == Fraction(2**n * (base * exp) ** n, math.factorial(n))
 
     def test_float_wrapper(self):
         bounds = Bounds((2, 8), (9, 3))

@@ -191,3 +191,15 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "budget" in captured.err.lower()
+
+    def test_memory_error_returns_two(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.01 GiB")
+
+        monkeypatch.setattr(cli_module, "verify_unique_representation", exhausted)
+        code = main(["verify-theorem", "-A", "20,20", "-B", "3,3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "memory" in captured.err
+        assert "verify-theorem" in captured.err

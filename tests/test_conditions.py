@@ -37,10 +37,6 @@ class TestFilterParameter:
         with pytest.raises(ConfigError):
             FilterParameter.from_cutoff(float("inf"))
 
-    def test_rejects_inconsistent_coeff_bound(self):
-        with pytest.raises(ConfigError):
-            FilterParameter(cutoff=4.0, coeff_bound=7)
-
     def test_coeff_bound_floor_random(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -145,15 +141,31 @@ class TestBoundedRelation:
         assert not has_bounded_relation((2, 5), param)
 
     def test_meet_in_middle_matches_exhaustive(self):
+        # distinct nonzero magnitudes, so no shortcut decides the tuple first
         rng = random.Random(33)
+        outcomes = []
         for _ in range(150):
             n = rng.randint(2, 4)
-            exps = tuple(rng.randint(-9, 9) for _ in range(n))
-            cutoff = rng.choice([2.0, 4.0, 8.0, 20.0, 55.0])
-            param = FilterParameter.from_cutoff(cutoff)
-            full = has_bounded_relation(exps, param)
-            halved = has_bounded_relation(exps, param, mitm_threshold=1)
-            assert full == halved, (exps, param.coeff_bound)
+            exps = tuple(
+                rng.choice((-1, 1)) * m for m in rng.sample(range(1, 40), n)
+            )
+            k = rng.choice([1, 2, 4, 5])
+            scan = any(
+                any(c) and sum(ci * bi for ci, bi in zip(c, exps)) == 0
+                for c in itertools.product(range(-k, k + 1), repeat=n)
+            )
+            assert conditions_module._relation_mitm(exps, k) == scan, (exps, k)
+            outcomes.append(scan)
+        assert 10 < sum(outcomes) < 140
+
+    def test_wide_coefficient_box(self):
+        # 19**7 coefficient vectors exceed the meet-in-the-middle threshold;
+        # with every |c_i| <= 9 < 10 a base-20 digit expansion is unique
+        param = FilterParameter.from_cutoff(100)  # coeff_bound 9
+        powers = (1, 20, 400, 8000, 160000, 3200000, 64000000)
+        assert (2 * param.coeff_bound + 1) ** len(powers) > conditions_module._MITM_THRESHOLD
+        assert not has_bounded_relation(powers, param)
+        assert has_bounded_relation(powers[:-1] + (3,), param)  # 3*1 - 1*3 = 0
 
 
 class TestESet:
