@@ -210,21 +210,23 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     """Distinct values as the layered sumset T_k = dedup(T_{k-1} + S_k).
 
     The budget is charged for every candidate value formed: the A_k*(2B_k+1)
-    powers that make up the coordinate sets S_k, then |T_{k-1}| * |S_k| sums
-    per layer, checked before the layer is formed.  The coordinates are
-    combined in ascending order of |S_k|.
+    powers that make up the coordinate sets S_k, once per key word, then
+    |T_{k-1}| * |S_k| sums per layer, each checked before it is formed.  The
+    coordinates are combined in ascending order of |S_k|.
     """
-    charge = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
+    charge = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
 
     def check() -> None:
         if charge > budget:
             raise BudgetError(
-                f"census would combine at least {charge} candidate values, "
-                f"over the budget of {budget}; raise --budget"
+                f"census would combine at least {charge} candidate values and key "
+                f"words, over the budget of {budget}; raise --budget"
             )
 
     check()
     keys = _key_words(bounds, table)
+    charge = keys.shape[0] * powers
+    check()
     layers = sorted(
         (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
         key=lambda layer: layer.shape[1],

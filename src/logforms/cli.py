@@ -184,11 +184,11 @@ def _effective_param(config: RunConfig) -> FilterParameter | None:
 
 
 def _normalize(value):
-    """12-significant-digit float normalization, applied recursively."""
+    """12-significant-digit float normalization, applied recursively; inf and NaN become None."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.12g}") if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _normalize(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -7,7 +7,8 @@ Three per-tuple conditions are tested against a cutoff parameter C >= 2:
 2. some base is C-smooth, i.e. all of its prime factors are <= C (the base 1
    counts vacuously);
 3. the exponents admit a nontrivial integer relation
-   c_1*b_1 + ... + c_n*b_n = 0 with every |c_i| <= floor(2 ln C).
+   c_1*b_1 + ... + c_n*b_n = 0 with every |c_i| <= floor(2 ln C), decided
+   for whole exponent arrays by one vectorized meet-in-the-middle search.
 
 Form tuples passing *none* of the three conditions make up the "e-set".
 Inside it, equal product values force equal tuples up to reordering of the
@@ -52,9 +53,8 @@ __all__ = [
     "count_e_set",
 ]
 
-# Above this many candidate coefficient vectors the relation search switches
-# to meet-in-the-middle on the two halves of the coordinate set.
-_MITM_THRESHOLD = 10_000_000
+# Half sums per block of the relation engine, and rows per exponent-grid block.
+_BLOCK = 1 << 18
 
 _gpf_cache: "weakref.WeakKeyDictionary[FactorTable, np.ndarray]" = weakref.WeakKeyDictionary()
 
@@ -123,51 +123,44 @@ def has_smooth_base(
 
 def has_bounded_relation(exps: Sequence[int], param: FilterParameter) -> bool:
     """Condition 3: a nonzero integer vector c with |c_i| <= coeff_bound and
-    c_1*b_1 + ... + c_n*b_n = 0 exists.
+    c_1*b_1 + ... + c_n*b_n = 0 exists; the one-row call of ``_related``."""
+    return bool(_related(np.array([tuple(exps)], dtype=np.int64), param.coeff_bound)[0])
 
-    Exhaustive over the coefficient box; switches to meet-in-the-middle on the
-    two coordinate halves when the box holds more than ``_MITM_THRESHOLD``
-    vectors.
+
+def _related(exps: np.ndarray, k: int) -> np.ndarray:
+    """Condition 3 on every row of a (q, n) int64 array, as a boolean mask.
+
+    A zero entry or two equal magnitudes give a +-1 relation.  Otherwise the
+    first ceil(n/2) coordinates meet the rest in the middle: the row is related
+    iff a nonzero half-vector sums to 0, or a nonzero left sum s meets a right
+    sum -s.  Each row's sums get a key range of their own, so one sort and one
+    search serve a block of about ``_BLOCK`` half sums.
     """
-    k = param.coeff_bound
-    if k < 1:
-        return False
-    b = tuple(int(x) for x in exps)
-    n = len(b)
-    if any(x == 0 for x in b):
-        return True  # unit coefficient on a zero exponent
-    if n == 1:
-        return False  # c*b = 0 with b != 0 forces c = 0
-    if len({abs(x) for x in b}) < n:
-        return True  # matching magnitudes cancel with coefficients +-1
-    width = 2 * k + 1
-    if width**n <= _MITM_THRESHOLD:
-        rng = range(-k, k + 1)
-        for c in itertools.product(rng, repeat=n):
-            if any(c) and sum(ci * bi for ci, bi in zip(c, b)) == 0:
-                return True
-        return False
-    return _relation_mitm(b, k)
-
-
-def _relation_mitm(b: tuple[int, ...], k: int) -> bool:
-    """Meet-in-the-middle relation search; exact, used for wide coefficient boxes."""
-    half = (len(b) + 1) // 2
-    left, right = b[:half], b[half:]
-    rng = range(-k, k + 1)
-
-    def sums(part: tuple[int, ...]) -> Counter[int]:
-        out: Counter[int] = Counter()
-        for c in itertools.product(rng, repeat=len(part)):
-            out[sum(ci * bi for ci, bi in zip(c, part))] += 1
-        return out
-
-    left_sums = sums(left)
-    right_sums = sums(right)
-    # zero achieved by a nonzero half-vector (the all-zero vector contributes 1)
-    if left_sums[0] > 1 or right_sums[0] > 1:
-        return True
-    return any(s != 0 and -s in right_sums for s in left_sums)
+    n = exps.shape[1]
+    mags = np.sort(np.abs(exps), axis=1)
+    related = (mags[:, :1] == 0).any(axis=1) | (mags[:, 1:] == mags[:, :-1]).any(axis=1)
+    h = (n + 1) // 2
+    left_grid, right_grid = (
+        np.array(list(itertools.product(range(-k, k + 1), repeat=m)), dtype=np.int64).T
+        for m in (h, n - h)
+    )
+    step = max(1, _BLOCK // (left_grid.shape[1] + right_grid.shape[1]))
+    top = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
+    if min(step, len(exps)) * (2 * k * n * top + 1) >= 2**63:
+        raise ValueError(f"exponents up to {top} overflow the int64 relation keys")
+    todo = np.flatnonzero(~related)
+    for block in np.split(todo, range(step, todo.size, step)):
+        left, right = exps[block, :h] @ left_grid, exps[block, h:] @ right_grid
+        # the zero half-vector always sums to 0, so a nonzero one needs a second 0
+        found = ((left == 0).sum(axis=1) > 1) | ((right == 0).sum(axis=1) > 1)
+        span = k * np.abs(exps[block]).sum(axis=1)  # bounds |half sum| in the row
+        offset = (np.cumsum(2 * span + 1) - span - 1)[:, None]
+        keys = offset + left
+        # -1 is below every key, so a zero right sum meets no zero left sum
+        wanted = np.sort(np.where(right == 0, -1, offset - right), axis=None)
+        at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
+        related[block] = found | (wanted[at] == keys).any(axis=1)
+    return related
 
 
 def in_e_set(t: FormTuple, param: FilterParameter, table: FactorTable) -> bool:
@@ -230,13 +223,15 @@ def _large_prime_power_grid(
 
 
 def _admissible_exps(exp_max: Sequence[int], param: FilterParameter) -> np.ndarray:
-    """The exponent tuples in the box failing condition 3, as a (q, n) array."""
-    exps = [
-        e
-        for e in itertools.product(*(range(-b, b + 1) for b in exp_max))
-        if not has_bounded_relation(e, param)
-    ]
-    return np.array(exps, dtype=np.int64).reshape(len(exps), len(exp_max))
+    """The exponent tuples in the box failing condition 3, as a (q, n) array in
+    lexicographic order, tested in mixed-radix blocks of ``_BLOCK`` rows."""
+    shape = [2 * b + 1 for b in exp_max]
+    kept = []
+    for start in range(0, math.prod(shape), _BLOCK):
+        index = np.arange(start, min(start + _BLOCK, math.prod(shape)))
+        rows = np.stack(np.unravel_index(index, shape), axis=1) - np.array(exp_max)
+        kept.append(rows[~_related(rows, param.coeff_bound)])
+    return np.concatenate(kept)
 
 
 def _admissible_tuples(

@@ -11,7 +11,7 @@ under (up to an absolute constant), evaluated by ``condition_bound``:
 * condition 3: prod(B_i) * sum_i (9 ln C)**n / B_i
 
 Counts are exact, never sampled.  Conditions 1 and 3 are counted on the
-filter engine of :mod:`logforms.conditions`, except for closed forms on pair
+filter engines of :mod:`logforms.conditions`, except for a closed form on pair
 exponent boxes and a divisor-lattice inclusion-exclusion on large pair base
 boxes; all agree with direct enumeration (property-tested).
 """
@@ -78,7 +78,9 @@ def count_large_prime_power(
     if bounds.n == 2 and space > _DIRECT_LIMIT:
         return _count_pairs_large_prime_power(bounds, param, table)
     if space > budget:
-        raise BudgetError(f"base space {space} exceeds budget {budget}")
+        raise BudgetError(
+            f"condition-1 count would walk {space} base tuples, over budget {budget}; raise --budget"
+        )
     grid = [np.arange(1, a + 1) for a in a_max]
     return int(np.count_nonzero(_large_prime_power_grid(grid, param.cutoff, table)))
 
@@ -147,16 +149,14 @@ def count_bounded_relation(
     """Exact count of exponent tuples in the box satisfying condition 3.
 
     Bases never matter, so only the exponent box prod(2 B_i + 1) is involved.
-    For one coordinate only the zero vector qualifies.  For two coordinates the
-    qualifying nonzero pairs are exactly the multiples of primitive directions
-    (q, p) with both entries <= coeff_bound, which are disjoint families, so
-    the count closes to a double sum of floor divisions.  Wider boxes count the
-    complement of the filter engine's admissible exponent tuples.
+    For two coordinates the qualifying nonzero pairs are exactly the multiples
+    of primitive directions (q, p) with both entries <= coeff_bound, which are
+    disjoint families, so the count closes to a double sum of floor divisions.
+    Every other box counts the complement of the admissible exponent tuples,
+    found by the relation engine and charged prod(2 B_i + 1).
     """
     k = param.coeff_bound
     b_max = bounds.exp_max
-    if bounds.n == 1:
-        return 1 if k >= 1 else 0
     if bounds.n == 2:
         b1, b2 = b_max
         zeros = (2 * b1 + 1) + (2 * b2 + 1) - 1
@@ -169,7 +169,10 @@ def count_bounded_relation(
         return zeros + nonzero
     space = math.prod(2 * b + 1 for b in b_max)
     if space > budget:
-        raise BudgetError(f"exponent space {space} exceeds budget {budget}")
+        raise BudgetError(
+            f"condition-3 count would walk {space} exponent tuples, over budget {budget}; "
+            "raise --budget"
+        )
     return space - len(_admissible_exps(b_max, param))
 
 

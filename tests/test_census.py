@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from logforms import (
     FilterParameter,
     FormTuple,
     Permutation,
+    build_factor_table,
     canonical_form,
     convergence_run,
     count_distinct_rationals,
     count_e_set,
+    default_cutoff,
     main_term,
     permissibility_closed_form,
     possible_count,
@@ -157,6 +160,20 @@ class TestCountDistinctRationals:
                 Bounds((100, 100), (5, 5)), table_small, budget=10**4
             )
 
+    def test_power_charge_counts_key_words(self):
+        # 177-word keys: the coordinate powers would fill about 2.85 GB per
+        # coordinate, so the refusal must come before they are formed
+        bounds = Bounds((10000, 10000), (100, 100))
+        table = build_factor_table(10000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"at least 711540000 .*--budget"):
+                count_distinct_rationals(bounds, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_unknown_strategy_is_rejected(self, table_small):
         with pytest.raises(ValueError):
             count_distinct_rationals(Bounds((5,), (2,)), table_small, strategy="typo")
@@ -236,11 +253,20 @@ class TestVerifyUniqueRepresentation:
             == []
         )
 
-    def test_three_coordinates_with_members(self, table_small):
-        # cutoff ln 15 gives coefficient bound 1; 133 056 e-set members are checked
-        bounds = Bounds((15, 15, 15), (6, 6, 6))
-        param = FilterParameter.from_cutoff(math.log(15))
-        assert count_e_set(bounds, param, table_small)[0] > 0
+    @pytest.mark.parametrize(
+        "base_max,exp_max,cutoff,members",
+        [
+            # cutoff ln 15 gives coefficient bound 1
+            ((15, 15, 15), (6, 6, 6), math.log(15), 133_056),
+            # the default cutoff ln 20 gives coefficient bound 2
+            ((20, 20, 20), (10, 10, 10), None, 514_368),
+        ],
+        ids=["ln15", "default"],
+    )
+    def test_three_coordinates_with_members(self, table_small, base_max, exp_max, cutoff, members):
+        bounds = Bounds(base_max, exp_max)
+        param = default_cutoff(bounds) if cutoff is None else FilterParameter.from_cutoff(cutoff)
+        assert count_e_set(bounds, param, table_small)[0] == members
         assert verify_unique_representation(bounds, table_small, param=param) == []
 
 

@@ -159,6 +159,21 @@ class TestReports:
             assert row["e_count"] == ""
             assert report["e_count"] is None
 
+    def test_infinite_ratio_is_null(self, capsys):
+        # B_1 = 1 makes the main term 0, so the ratio is infinite
+        argv = ["census", "-A", "50,60", "-B", "1,5"]
+        assert main(argv) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["results"]["formula_value"] == 0
+        assert payload["results"]["ratio"] is None
+        assert main(argv + ["--format", "csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["ratio"] == ""
+
 
 class TestExitCodes:
     def test_verify_clean_box_returns_zero(self, capsys):
@@ -191,6 +206,14 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "budget" in captured.err.lower()
+
+    def test_census_power_charge_refuses(self, capsys):
+        # 177-word keys: the coordinate powers alone would take about 2.85 GB
+        code = main(["census", "-A", "10000,10000", "-B", "100,100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--budget" in captured.err
 
     def test_memory_error_returns_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

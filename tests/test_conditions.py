@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import logforms.conditions as conditions_module
@@ -21,6 +22,15 @@ from logforms import (
     has_smooth_base,
     in_e_set,
 )
+
+
+def _relation_scan(rows, k):
+    """Condition 3 per row of a (q, n) array by exhaustive scan of the
+    coefficient box; float64 products of these small integers are exact."""
+    coeffs = np.array(list(itertools.product(range(-k, k + 1), repeat=rows.shape[1])))
+    coeffs = coeffs[(coeffs != 0).any(axis=1)].astype(float)
+    chunks = np.array_split(rows.astype(float), max(1, len(rows) // 16))
+    return np.concatenate([(coeffs @ chunk.T == 0).any(axis=0) for chunk in chunks])
 
 
 class TestFilterParameter:
@@ -141,29 +151,38 @@ class TestBoundedRelation:
         assert not has_bounded_relation((2, 5), param)
 
     def test_meet_in_middle_matches_exhaustive(self):
-        # distinct nonzero magnitudes, so no shortcut decides the tuple first
+        # the engine on whole (q, n) arrays, many rows per block; mostly distinct
+        # nonzero magnitudes, so the +-1 shortcut does not decide the row first
         rng = random.Random(33)
         outcomes = []
-        for _ in range(150):
-            n = rng.randint(2, 4)
-            exps = tuple(
-                rng.choice((-1, 1)) * m for m in rng.sample(range(1, 40), n)
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, {1: 9, 2: 9, 3: 6, 4: 3, 5: 2, 6: 2}[n])
+            rows = np.array(
+                [
+                    [rng.choice((-1, 1)) * m for m in rng.sample(range(1, 40), n)]
+                    if rng.random() < 0.9
+                    else [rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, 40))
+                ],
+                dtype=np.int64,
             )
-            k = rng.choice([1, 2, 4, 5])
-            scan = any(
-                any(c) and sum(ci * bi for ci, bi in zip(c, exps)) == 0
-                for c in itertools.product(range(-k, k + 1), repeat=n)
-            )
-            assert conditions_module._relation_mitm(exps, k) == scan, (exps, k)
-            outcomes.append(scan)
-        assert 10 < sum(outcomes) < 140
+            scan = _relation_scan(rows, k)
+            assert conditions_module._related(rows, k).tolist() == scan.tolist(), (rows, k)
+            outcomes.extend(scan.tolist())
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9
+
+    def test_key_overflow_refused(self):
+        param = FilterParameter.from_cutoff(4.0)
+        with pytest.raises(ValueError, match="overflow"):
+            has_bounded_relation((2**61, 3), param)
+        assert has_bounded_relation((2**40, 3), param) is False
 
     def test_wide_coefficient_box(self):
-        # 19**7 coefficient vectors exceed the meet-in-the-middle threshold;
-        # with every |c_i| <= 9 < 10 a base-20 digit expansion is unique
+        # 19**7 coefficient vectors; with every |c_i| <= 9 < 10 a base-20
+        # digit expansion is unique
         param = FilterParameter.from_cutoff(100)  # coeff_bound 9
         powers = (1, 20, 400, 8000, 160000, 3200000, 64000000)
-        assert (2 * param.coeff_bound + 1) ** len(powers) > conditions_module._MITM_THRESHOLD
         assert not has_bounded_relation(powers, param)
         assert has_bounded_relation(powers[:-1] + (3,), param)  # 3*1 - 1*3 = 0
 
@@ -239,11 +258,11 @@ class TestFilterEngine:
                 for b, bad in zip(all_bases, prime_power)
                 if not bad and not has_smooth_base(b, param, table_small)
             ]
-            expected_exps = [
-                e
-                for e in itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))
-                if not has_bounded_relation(e, param)
-            ]
+            all_exps = np.array(
+                list(itertools.product(*(range(-b, b + 1) for b in exp_max)))
+            )
+            scan = _relation_scan(all_exps, param.coeff_bound)
+            expected_exps = [tuple(e) for e in all_exps[~scan].tolist()]
             assert [tuple(b) for b in bases.tolist()] == expected_bases, (bounds, param)
             assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)
             assert count_large_prime_power(bounds, param, table_small) == sum(prime_power)

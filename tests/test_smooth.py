@@ -98,7 +98,7 @@ class TestCountLargePrimePower:
 
     def test_budget_guard(self, table_grid):
         bounds = Bounds((50, 50, 50), (1, 1, 1))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"walk 125000 base tuples.*raise --budget"):
             count_large_prime_power(
                 bounds, FilterParameter.from_cutoff(4.0), table_grid, budget=100
             )
@@ -165,19 +165,21 @@ class TestCountBoundedRelation:
             assert count_bounded_relation(bounds, param) == scan
 
     def test_triple_scan_path(self):
+        # an exhaustive coefficient scan, independent of the relation engine
         bounds = Bounds((5, 5, 5), (2, 3, 2))
-        param = FilterParameter.from_cutoff(4.0)
+        param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
         scan = sum(
-            has_bounded_relation(exps, param)
-            for exps in itertools.product(
-                range(-2, 3), range(-3, 4), range(-2, 3)
+            any(
+                any(c) and sum(ci * bi for ci, bi in zip(c, exps)) == 0
+                for c in itertools.product(range(-2, 3), repeat=3)
             )
+            for exps in itertools.product(range(-2, 3), range(-3, 4), range(-2, 3))
         )
         assert count_bounded_relation(bounds, param) == scan
 
     def test_budget_guard(self):
         bounds = Bounds((5, 5, 5), (40, 40, 40))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"walk 531441 exponent tuples.*raise --budget"):
             count_bounded_relation(
                 bounds, FilterParameter.from_cutoff(4.0), budget=100
             )
