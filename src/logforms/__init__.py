@@ -40,11 +40,9 @@ from .smooth import (
 )
 from .asymptotics import (
     BlockIndex,
-    OrderedBounds,
     leading_term_envelope,
     main_term,
     main_term_exact,
-    order_bounds,
     permanent_brute,
     permanent_ryser,
     separated_leading_term,
@@ -90,11 +88,9 @@ __all__ = [
     "count_smooth_base",
     "smooth_count",
     "BlockIndex",
-    "OrderedBounds",
     "leading_term_envelope",
     "main_term",
     "main_term_exact",
-    "order_bounds",
     "permanent_brute",
     "permanent_ryser",
     "separated_leading_term",

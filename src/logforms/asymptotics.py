@@ -9,8 +9,9 @@ valid.  Over the orderings of one multiset of block pairs those divisors
 cancel, so the sum is taken once per multiset that fits the bounds in some
 order, weighted by its multinomial count, as one exact integer.  Scaling by
 2**n (exponent sign choices) gives the polynomial that the exact census
-approaches as the bounds grow.  The permanents of 0/1 matrices that the
-definition uses remain available for checking it.
+approaches as the bounds grow.  ``main_term_exact`` sorts the bounds itself;
+``BlockIndex`` (one assignment) and the permanents of 0/1 matrices that the
+definition uses remain available for checking it against that definition.
 
 Two closed forms bracket it: ``symmetric_leading_term`` (all bounds equal,
 the n! symmetry is fully active) and ``separated_leading_term`` (bounds so
@@ -28,12 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bounds, ConfigError, Permutation
+from .core import Bounds, ConfigError
 
 __all__ = [
-    "OrderedBounds",
     "BlockIndex",
-    "order_bounds",
     "permanent_brute",
     "permanent_ryser",
     "main_term",
@@ -49,51 +48,13 @@ _MAIN_TERM_MAX = 10
 
 
 @dataclass(frozen=True)
-class OrderedBounds:
-    """Bounds rearranged for block decomposition.
-
-    ``base_sorted`` holds the base bounds in nondecreasing order and
-    ``exp_by_base`` the exponent bounds carried along with their bases.
-    ``exp_sort`` lists coordinate positions in nondecreasing ``exp_by_base``
-    order, so ``exp_sorted`` is monotone.
-    """
-
-    base_sorted: tuple[int, ...]
-    exp_by_base: tuple[int, ...]
-    exp_sort: Permutation
-
-    def __post_init__(self) -> None:
-        n = len(self.base_sorted)
-        if len(self.exp_by_base) != n or len(self.exp_sort.images) != n:
-            raise ValueError("component lengths disagree")
-        if any(x > y for x, y in zip(self.base_sorted, self.base_sorted[1:])):
-            raise ValueError("base bounds must be nondecreasing")
-        if any(x > y for x, y in zip(self.exp_sorted, self.exp_sorted[1:])):
-            raise ValueError("exp_sort must sort the exponent bounds")
-
-    @property
-    def n(self) -> int:
-        return len(self.base_sorted)
-
-    @property
-    def exp_sorted(self) -> tuple[int, ...]:
-        """Exponent bounds in nondecreasing order."""
-        return tuple(self.exp_by_base[m] for m in self.exp_sort.images)
-
-    @property
-    def exp_ranks(self) -> tuple[int, ...]:
-        """1-based sorted position of each coordinate's exponent bound."""
-        inv = self.exp_sort.inverse()
-        return tuple(pos + 1 for pos in inv.images)
-
-
-@dataclass(frozen=True)
 class BlockIndex:
     """One block choice per coordinate; entries are 1-based.
 
-    ``base_blocks[k]`` may not exceed k+1 (coordinate k+1 sees only the first
-    k+1 base blocks); the matching exponent ceiling depends on OrderedBounds
-    and is enforced where the two meet.
+    Coordinates are in nondecreasing base-bound order.  ``base_blocks[k]`` may
+    not exceed k+1 (coordinate k+1 sees only the first k+1 base blocks); the
+    matching exponent ceiling is the rank of the coordinate's exponent bound
+    among the sorted exponent bounds, and is enforced where the two meet.
     """
 
     base_blocks: tuple[int, ...]
@@ -108,16 +69,6 @@ class BlockIndex:
                 raise ValueError(f"base block {i} out of range 1..{k}")
             if not 1 <= j <= n:
                 raise ValueError(f"exp block {j} out of range 1..{n}")
-
-
-def order_bounds(bounds: Bounds) -> OrderedBounds:
-    """Sort the bounds for block decomposition; ties keep original order."""
-    n = bounds.n
-    by_base = sorted(range(n), key=lambda m: bounds.base_max[m])
-    base_sorted = tuple(bounds.base_max[m] for m in by_base)
-    exp_by_base = tuple(bounds.exp_max[m] for m in by_base)
-    by_exp = sorted(range(n), key=lambda m: exp_by_base[m])
-    return OrderedBounds(base_sorted, exp_by_base, Permutation(tuple(by_exp)))
 
 
 def permanent_brute(matrix: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> int:
@@ -181,7 +132,7 @@ def main_term_exact(bounds: Bounds) -> Fraction:
 
     Equals 2**n / n! times the sum, over the multisets M of n block columns
     c = (i, j) of nonzero width w_c that fit the rows in some order (row l,
-    0-based, takes i <= l+1 and j <= exp_ranks[l]), of prod w_c times the
+    0-based, takes i <= l+1 and j <= ranks[l]), of prod w_c times the
     multinomial n! / prod_c mult_c(M)!.  A dynamic program over base blocks
     keeps, per count of still unplaced columns in each exponent block, the
     integer sum so far; after base block i+1 is added, row i takes the
@@ -191,12 +142,17 @@ def main_term_exact(bounds: Bounds) -> Fraction:
     n = bounds.n
     if n > _MAIN_TERM_MAX:
         raise ConfigError(f"main term limited to {_MAIN_TERM_MAX} coordinates")
-    ordered = order_bounds(bounds)
-    base_edges = (1,) + ordered.base_sorted
-    exp_edges = (1,) + ordered.exp_sorted
+    # rows in base-bound order; ranks[l] is the 1-based position of row l's
+    # exponent bound among the sorted exponent bounds (stable sorts keep ties)
+    by_base = sorted(range(n), key=lambda m: bounds.base_max[m])
+    by_exp = sorted(range(n), key=lambda l: bounds.exp_max[by_base[l]])
+    ranks = [0] * n
+    for rank, l in enumerate(by_exp, start=1):
+        ranks[l] = rank
+    base_edges = [1] + [bounds.base_max[m] for m in by_base]
+    exp_edges = [1] + [bounds.exp_max[by_base[l]] for l in by_exp]
     base_widths = [base_edges[k] - base_edges[k - 1] for k in range(1, n + 1)]
     exp_widths = [exp_edges[k] - exp_edges[k - 1] for k in range(1, n + 1)]
-    ranks = ordered.exp_ranks
 
     states = {(0,) * n: 1}
     for i in range(n):

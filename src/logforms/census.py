@@ -104,8 +104,8 @@ def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
     return table
 
 
-def _key_words(bounds: Bounds, table: FactorTable) -> np.ndarray:
-    """keys[:, a] is the exact key of the base a, for 0 <= a <= max(A_i).
+def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
+    """The number of int64 words in an exact key, and each prime's digit slot.
 
     A key has one balanced digit per prime p <= max(A_i), in radix 2*M_p + 1
     with M_p = sum_i B_i * floor(log_p A_i): no product of box coordinates,
@@ -113,10 +113,13 @@ def _key_words(bounds: Bounds, table: FactorTable) -> np.ndarray:
     into int64 words while the product of their radices stays below 2**64, so
     such products never overflow a word or carry between digits.  Adding keys
     therefore adds prime-exponent vectors, and equal keys are equal rationals.
+    A slot is (the powers p**k <= max(A_i), word, place value).  The layout
+    allocates nothing per base, so callers charge the words before
+    ``_key_words`` builds them.
     """
     limit = max(bounds.base_max)
     spf = table.spf[: limit + 1]
-    slots = []  # (powers p**k <= limit, word, place value) per prime p
+    slots = []
     word, place = 0, 1
     for p in np.flatnonzero(spf == np.arange(limit + 1)).tolist()[1:]:  # 0 has spf 0
         powers = [p]
@@ -129,7 +132,13 @@ def _key_words(bounds: Bounds, table: FactorTable) -> np.ndarray:
             word, place = word + 1, 1
         slots.append((powers, word, place))
         place *= 2 * top + 1
-    keys = np.zeros((word + 1, limit + 1), dtype=np.int64)
+    return word + 1, slots
+
+
+def _key_words(layout: tuple[int, list], limit: int) -> np.ndarray:
+    """keys[:, a] is the exact key of the base a, for 0 <= a <= limit = max(A_i)."""
+    words, slots = layout
+    keys = np.zeros((words, limit + 1), dtype=np.int64)
     for powers, w, place in slots:
         for q in powers:
             keys[w, q::q] += place
@@ -224,9 +233,10 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
             )
 
     check()
-    keys = _key_words(bounds, table)
-    charge = keys.shape[0] * powers
+    layout = _key_layout(bounds, table)
+    charge = layout[0] * powers
     check()
+    keys = _key_words(layout, max(bounds.base_max))
     layers = sorted(
         (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
         key=lambda layer: layer.shape[1],
@@ -301,22 +311,24 @@ def verify_unique_representation(
     Violations come in key order; the expected result is an empty list.
 
     The budget is charged prod(A_i) + prod(2 B_i + 1) for the filters, then
-    the number of filtered members before their keys are formed.
+    the value words of the filtered members (members times key words) before
+    any key is formed.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
     bases, exps = _admissible_tuples(bounds, param, table, budget)
     members = len(bases) * len(exps)
-    if members > budget:
+    layout = _key_layout(bounds, table)
+    if members * layout[0] > budget:
         raise BudgetError(
-            f"uniqueness check would key {members} e-set members, over the budget "
-            f"of {budget}; raise --budget"
+            f"uniqueness check would key {members} e-set members in {layout[0]} "
+            f"words each, over the budget of {budget}; raise --budget"
         )
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys
-    words = _key_words(bounds, table)
+    words = _key_words(layout, max(bounds.base_max))
     values = [
         sum(np.multiply.outer(word[bases[:, i]], exps[:, i]) for i in range(bounds.n)).ravel()
         for word in words
@@ -397,24 +409,26 @@ def run_census(
 ) -> CensusReport:
     """Exact census of one box against a formula (the main term by default).
 
-    The filtered-set size is included when a filter parameter is given or the
-    default cutoff rule applies to the box, else left as None.
+    Only the count can refuse the report.  The main term past its coordinate
+    cap leaves the formula and the ratio NaN.  The filtered-set size is None
+    when no filter parameter is given and the default cutoff rule does not
+    apply to the box, or when counting it would exceed the budget.
     """
     table = _usable_table(table, max(bounds.base_max))
     start = time.perf_counter()
     exact = count_distinct_rationals(bounds, table, budget=budget)
-    if formula is None:
-        formula = main_term(bounds)
-    if param is None:
-        try:
-            param = default_cutoff(bounds)
-        except ConfigError:
-            param = None
-    e_count = (
-        count_e_set(bounds, param, table, budget=budget)[0] if param is not None else None
-    )
+    try:
+        formula = main_term(bounds) if formula is None else formula
+        ratio = exact / formula if formula > 0 else math.inf
+    except ConfigError:
+        formula = ratio = math.nan
+    e_count = None
+    try:
+        param = default_cutoff(bounds) if param is None else param
+        e_count = count_e_set(bounds, param, table, budget=budget)[0]
+    except (ConfigError, BudgetError):
+        pass
     elapsed = time.perf_counter() - start
-    ratio = exact / formula if formula > 0 else math.inf
     return CensusReport(
         bounds=bounds,
         tuple_space=bounds.tuple_space(),
@@ -445,7 +459,7 @@ def _shape_bounds(shape: str, scale: int, factors: int | None, base: Bounds | No
             tuple(a * scale for a in base.base_max),
             tuple(b * scale for b in base.exp_max),
         )
-        return bounds, main_term(bounds)
+        return bounds, None  # run_census computes the main term
     raise ConfigError(f"unknown shape {shape!r}")
 
 

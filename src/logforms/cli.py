@@ -46,7 +46,7 @@ class RunConfig:
 
     command: str
     bounds: Bounds | None
-    cutoff_override: float | None
+    param: FilterParameter | None
     budget: int
     output_path: str | None
     format: str
@@ -129,8 +129,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
     if ns.budget < 1:
         parser.error("--budget must be >= 1")
-    if ns.cutoff is not None and not 2 <= ns.cutoff < math.inf:
-        parser.error(f"--C must be finite and >= 2, got {ns.cutoff}")
 
     scales = None
     shape = None
@@ -148,11 +146,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     elif bounds is None:
         parser.error(f"{ns.command} requires -A and -B")
 
-    # commands built around the filter must know their cutoff up front
-    if ns.command in _CUTOFF_COMMANDS and ns.cutoff is None:
-        try:
-            default_cutoff(bounds)
-        except ConfigError as exc:
+    # --C, else the default rule; commands built around the filter need one
+    param = None
+    try:
+        if ns.cutoff is not None:
+            param = FilterParameter.from_cutoff(ns.cutoff)
+        elif bounds is not None:
+            param = default_cutoff(bounds)
+    except ConfigError as exc:
+        if ns.cutoff is not None or ns.command in _CUTOFF_COMMANDS:
             parser.error(str(exc))
 
     factors = ns.factors
@@ -162,7 +164,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(
         command=ns.command,
         bounds=bounds,
-        cutoff_override=ns.cutoff,
+        param=param,
         budget=ns.budget,
         output_path=ns.output_path,
         format=ns.format,
@@ -170,17 +172,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         shape=shape,
         factors=factors,
     )
-
-
-def _effective_param(config: RunConfig) -> FilterParameter | None:
-    if config.cutoff_override is not None:
-        return FilterParameter.from_cutoff(config.cutoff_override)
-    if config.bounds is None:
-        return None
-    try:
-        return default_cutoff(config.bounds)
-    except ConfigError:
-        return None
 
 
 def _normalize(value):
@@ -212,10 +203,19 @@ def _report_rows(report, scale=None) -> dict:
 
 def _execute(config: RunConfig):
     """Returns (results, csv_rows, csv_fields, violation_found)."""
-    bounds = config.bounds
-    table = build_factor_table(max(bounds.base_max)) if bounds is not None else None
-    param = _effective_param(config)
+    bounds, param = config.bounds, config.param
 
+    if config.command == "asymptotic":  # needs no factor table
+        lower, upper = leading_term_envelope(bounds)
+        results = {
+            "main_term": main_term(bounds),
+            "envelope_lower": lower,
+            "envelope_upper": upper,
+            "separated_term": separated_leading_term(bounds),
+        }
+        return results, [results], list(results), False
+
+    table = build_factor_table(max(bounds.base_max)) if bounds is not None else None
     if config.command == "census":
         report = run_census(bounds, table, budget=config.budget, param=param)
         results = _report_rows(report)
@@ -249,16 +249,6 @@ def _execute(config: RunConfig):
             "conditions": rows,
         }
         return results, rows, list(rows[0]), False
-
-    if config.command == "asymptotic":
-        lower, upper = leading_term_envelope(bounds)
-        results = {
-            "main_term": main_term(bounds),
-            "envelope_lower": lower,
-            "envelope_upper": upper,
-            "separated_term": separated_leading_term(bounds),
-        }
-        return results, [results], list(results), False
 
     if config.command == "verify-theorem":
         violations = verify_unique_representation(
@@ -309,7 +299,7 @@ def _execute(config: RunConfig):
 
 
 def _config_payload(config: RunConfig) -> dict:
-    param = _effective_param(config)
+    param = config.param
     return {
         "command": config.command,
         "base_max": list(config.bounds.base_max) if config.bounds else None,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,8 +54,6 @@ __all__ = [
 
 # Half sums per block of the relation engine, and rows per exponent-grid block.
 _BLOCK = 1 << 18
-
-_gpf_cache: "weakref.WeakKeyDictionary[FactorTable, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -172,17 +169,6 @@ def in_e_set(t: FormTuple, param: FilterParameter, table: FactorTable) -> bool:
     )
 
 
-def _greatest_prime_factors(table: FactorTable) -> np.ndarray:
-    """gpf[m] = largest prime factor of m (gpf[0] = gpf[1] = 0), cached per table."""
-    gpf = _gpf_cache.get(table)
-    if gpf is None:
-        gpf = np.zeros(table.limit + 1, dtype=np.int32)
-        for p in table.primes():
-            gpf[p::p] = p  # ascending primes, so the last write wins
-        _gpf_cache[table] = gpf
-    return gpf
-
-
 def _min_bad_exponent(p: int, cutoff: float) -> int:
     """Smallest k >= 2 with p**k >= cutoff."""
     k = 2
@@ -253,7 +239,7 @@ def _admissible_tuples(
         )
     if max(bounds.base_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
-    gpf = _greatest_prime_factors(table)
+    gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
     clean = np.nonzero(~_large_prime_power_grid(columns, param.cutoff, table))
     bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)

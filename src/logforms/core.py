@@ -151,23 +151,35 @@ class Permutation:
 
 
 class FactorTable:
-    """Read-only smallest-prime-factor table for integers 2..limit.
+    """Read-only prime-factor table for integers 2..limit.
 
-    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  Built once,
-    never mutated; safe to share across threads.
+    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  The sieve
+    is built once and never mutated.  The greatest-prime-factor array of
+    ``gpf()`` is built on first use and kept; two threads that race on that
+    first use build equal arrays, so the table is safe to share.
     """
 
-    __slots__ = ("limit", "spf", "__weakref__")
+    __slots__ = ("limit", "spf", "_gpf")
 
     def __init__(self, limit: int, spf: np.ndarray):
         self.limit = limit
         self.spf = spf
+        self._gpf: np.ndarray | None = None
 
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending."""
         idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
         mask = (idx >= 2) & (self.spf == idx)
         return np.nonzero(mask)[0]
+
+    def gpf(self) -> np.ndarray:
+        """gpf[m] is the largest prime dividing m (and 0 for m < 2)."""
+        if self._gpf is None:
+            gpf = np.zeros(self.limit + 1, dtype=np.int32)
+            for p in self.primes():
+                gpf[p::p] = p  # ascending primes, so the last write wins
+            self._gpf = gpf
+        return self._gpf
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FactorTable(limit={self.limit})"

@@ -11,9 +11,10 @@ under (up to an absolute constant), evaluated by ``condition_bound``:
 * condition 3: prod(B_i) * sum_i (9 ln C)**n / B_i
 
 Counts are exact, never sampled.  Conditions 1 and 3 are counted on the
-filter engines of :mod:`logforms.conditions`, except for a closed form on pair
-exponent boxes and a divisor-lattice inclusion-exclusion on large pair base
-boxes; all agree with direct enumeration (property-tested).
+filter engines of :mod:`logforms.conditions`, except on pairs: every pair
+base box is counted by a divisor-lattice inclusion-exclusion and every pair
+exponent box by a closed form; all agree with direct enumeration
+(property-tested).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import Bounds, BudgetError, FactorTable, factorize
 from .conditions import (
     FilterParameter,
     _admissible_exps,
-    _greatest_prime_factors,
     _large_prime_power_grid,
     _min_bad_exponent,
 )
@@ -42,9 +42,6 @@ __all__ = [
     "check_condition",
 ]
 
-# Two-coordinate boxes at most this large are counted on the full base grid.
-_DIRECT_LIMIT = 200_000
-
 
 def smooth_count(x: int, y: float, table: FactorTable) -> int:
     """Exact number of y-smooth integers in [1, x]; 1 is smooth for every y."""
@@ -53,8 +50,7 @@ def smooth_count(x: int, y: float, table: FactorTable) -> int:
         raise ValueError("x must be >= 1")
     if x > table.limit:
         raise ValueError(f"x = {x} exceeds factor table limit {table.limit}")
-    gpf = _greatest_prime_factors(table)
-    return int(np.count_nonzero(gpf[1 : x + 1] <= y))
+    return int(np.count_nonzero(table.gpf()[1 : x + 1] <= y))
 
 
 def count_large_prime_power(
@@ -68,15 +64,16 @@ def count_large_prime_power(
 
     Exponents never matter, so only the base box prod(A_i) is involved.  It is
     tested whole by the filter engine, charged prod(A_i) against the budget,
-    except for large pair boxes: those use an inclusion-exclusion over the
-    divisor demands each clean partner value places on the other coordinate.
+    except for pair boxes: those use an inclusion-exclusion over the divisor
+    demands each clean partner value places on the other coordinate, which
+    never walks the pairs and is not charged.
     """
     a_max = bounds.base_max
-    space = math.prod(a_max)
     if max(a_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
-    if bounds.n == 2 and space > _DIRECT_LIMIT:
+    if bounds.n == 2:
         return _count_pairs_large_prime_power(bounds, param, table)
+    space = math.prod(a_max)
     if space > budget:
         raise BudgetError(
             f"condition-1 count would walk {space} base tuples, over budget {budget}; raise --budget"

@@ -11,12 +11,10 @@ from logforms import (
     BlockIndex,
     Bounds,
     ConfigError,
-    OrderedBounds,
     Permutation,
     leading_term_envelope,
     main_term,
     main_term_exact,
-    order_bounds,
     permanent_brute,
     permanent_ryser,
     separated_leading_term,
@@ -24,38 +22,17 @@ from logforms import (
 )
 
 
+def sorted_bounds(bounds):
+    """(base bounds sorted, exponent bounds sorted, exponent rank per row): rows
+    are coordinates in base order, ranks are 1-based and ties keep their order."""
+    by_base = sorted(range(bounds.n), key=lambda m: bounds.base_max[m])
+    exp_by_base = [bounds.exp_max[m] for m in by_base]
+    by_exp = sorted(range(bounds.n), key=lambda l: exp_by_base[l])
+    ranks = tuple(by_exp.index(l) + 1 for l in range(bounds.n))
+    return tuple(bounds.base_max[m] for m in by_base), tuple(sorted(exp_by_base)), ranks
+
+
 class TestOrderBounds:
-    def test_sorts_bases_and_carries_exponents(self):
-        ordered = order_bounds(Bounds((5, 3), (2, 9)))
-        assert ordered.base_sorted == (3, 5)
-        assert ordered.exp_by_base == (9, 2)
-        assert ordered.exp_sort.images == (1, 0)
-        assert ordered.exp_ranks == (2, 1)
-
-    def test_sorted_bases_with_descending_exponents(self):
-        ordered = order_bounds(Bounds((2, 8), (9, 3)))
-        assert ordered.base_sorted == (2, 8)
-        assert ordered.exp_by_base == (9, 3)
-        assert ordered.exp_ranks == (2, 1)
-
-    def test_ties_keep_identity_order(self):
-        ordered = order_bounds(Bounds((4, 4, 4), (7, 7, 7)))
-        assert ordered.exp_sort.images == (0, 1, 2)
-        assert ordered.exp_ranks == (1, 2, 3)
-
-    def test_exp_sorted_is_ascending(self):
-        rng = random.Random(111)
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            bounds = Bounds(
-                tuple(rng.randint(2, 40) for _ in range(n)),
-                tuple(rng.randint(1, 9) for _ in range(n)),
-            )
-            ordered = order_bounds(bounds)
-            assert list(ordered.base_sorted) == sorted(bounds.base_max)
-            assert list(ordered.exp_sorted) == sorted(bounds.exp_max)
-            assert sorted(ordered.exp_ranks) == list(range(1, n + 1))
-
     def test_block_index_validation(self):
         with pytest.raises(ValueError):
             BlockIndex((1, 3), (1, 1))  # second base block may be at most 2
@@ -85,7 +62,7 @@ class TestPermanents:
             permanent_ryser(matrix)
 
 
-def constrained_perm_count(block: BlockIndex, ordered: OrderedBounds) -> int:
+def constrained_perm_count(block: BlockIndex, ranks: tuple[int, ...]) -> int:
     """Number of coordinate permutations compatible with a block assignment.
 
     Counts bijections sigma with base_blocks[sigma(l)] <= l and
@@ -93,10 +70,9 @@ def constrained_perm_count(block: BlockIndex, ordered: OrderedBounds) -> int:
     At least 1 for any block index valid for these bounds: the identity
     always qualifies.
     """
-    n = ordered.n
+    n = len(ranks)
     if len(block.base_blocks) != n:
         raise ValueError("block index size disagrees with bounds")
-    ranks = ordered.exp_ranks
     for k, j in enumerate(block.exp_blocks):
         if j > ranks[k]:
             raise ValueError(f"exp block {j} exceeds rank {ranks[k]} at coordinate {k + 1}")
@@ -108,17 +84,17 @@ def constrained_perm_count(block: BlockIndex, ordered: OrderedBounds) -> int:
 
 class TestConstrainedPermCount:
     @pytest.fixture()
-    def ordered3(self):
-        return order_bounds(Bounds((2, 4, 8), (2, 4, 8)))
+    def ranks3(self):
+        return sorted_bounds(Bounds((2, 4, 8), (2, 4, 8)))[2]
 
-    def test_unconstrained_block_counts_all(self, ordered3):
-        assert constrained_perm_count(BlockIndex((1, 1, 1), (1, 1, 1)), ordered3) == 6
+    def test_unconstrained_block_counts_all(self, ranks3):
+        assert constrained_perm_count(BlockIndex((1, 1, 1), (1, 1, 1)), ranks3) == 6
 
-    def test_diagonal_block_forces_identity(self, ordered3):
-        assert constrained_perm_count(BlockIndex((1, 2, 3), (1, 2, 3)), ordered3) == 1
+    def test_diagonal_block_forces_identity(self, ranks3):
+        assert constrained_perm_count(BlockIndex((1, 2, 3), (1, 2, 3)), ranks3) == 1
 
-    def test_mixed_block(self, ordered3):
-        assert constrained_perm_count(BlockIndex((1, 2, 2), (1, 1, 2)), ordered3) == 2
+    def test_mixed_block(self, ranks3):
+        assert constrained_perm_count(BlockIndex((1, 2, 2), (1, 1, 2)), ranks3) == 2
 
     def test_matches_direct_permutation_scan(self):
         rng = random.Random(333)
@@ -128,18 +104,16 @@ class TestConstrainedPermCount:
                 tuple(rng.randint(2, 30) for _ in range(n)),
                 tuple(rng.randint(1, 9) for _ in range(n)),
             )
-            ordered = order_bounds(bounds)
+            ranks = sorted_bounds(bounds)[2]
             base_blocks = (1,) + tuple(rng.randint(1, k) for k in range(2, n + 1))
-            exp_blocks = tuple(
-                rng.randint(1, ordered.exp_ranks[k]) for k in range(n)
-            )
+            exp_blocks = tuple(rng.randint(1, ranks[k]) for k in range(n))
             block = BlockIndex(base_blocks, exp_blocks)
-            count = constrained_perm_count(block, ordered)
+            count = constrained_perm_count(block, ranks)
             scan = 0
             for sigma in itertools.permutations(range(1, n + 1)):
                 if all(
                     base_blocks[m] <= sigma[m]
-                    and exp_blocks[m] <= ordered.exp_ranks[sigma[m] - 1]
+                    and exp_blocks[m] <= ranks[sigma[m] - 1]
                     for m in range(n)
                 ):
                     scan += 1
@@ -147,25 +121,26 @@ class TestConstrainedPermCount:
             assert count >= 1
 
     def test_rejects_block_outside_rank(self):
-        ordered = order_bounds(Bounds((2, 8), (9, 3)))  # exp_ranks (2, 1)
+        ranks = sorted_bounds(Bounds((2, 8), (9, 3)))[2]
+        assert ranks == (2, 1)
         with pytest.raises(ValueError):
-            constrained_perm_count(BlockIndex((1, 1), (1, 2)), ordered)
+            constrained_perm_count(BlockIndex((1, 1), (1, 2)), ranks)
 
 
 def _block_sum_oracle(bounds):
     """The main term by its definition: every ordered block assignment adds its
     width product divided by the permutations it admits."""
     n = bounds.n
-    ordered = order_bounds(bounds)
-    base_edges = (1,) + ordered.base_sorted
-    exp_edges = (1,) + ordered.exp_sorted
+    base_sorted, exp_sorted, ranks = sorted_bounds(bounds)
+    base_edges = (1,) + base_sorted
+    exp_edges = (1,) + exp_sorted
     base_widths = [base_edges[k] - base_edges[k - 1] for k in range(1, n + 1)]
     exp_widths = [exp_edges[k] - exp_edges[k - 1] for k in range(1, n + 1)]
     choices = [
         [
             (i, j)
             for i in range(1, k + 2)
-            for j in range(1, ordered.exp_ranks[k] + 1)
+            for j in range(1, ranks[k] + 1)
             if base_widths[i - 1] and exp_widths[j - 1]
         ]
         for k in range(n)
@@ -176,7 +151,7 @@ def _block_sum_oracle(bounds):
             tuple(i for i, _ in assignment), tuple(j for _, j in assignment)
         )
         widths = math.prod(base_widths[i - 1] * exp_widths[j - 1] for i, j in assignment)
-        total += Fraction(widths, constrained_perm_count(block, ordered))
+        total += Fraction(widths, constrained_perm_count(block, ranks))
     return 2**n * total
 
 

@@ -95,7 +95,8 @@ class TestCountDistinctRationals:
         self, table_small, base_max, exp_max, words
     ):
         bounds = Bounds(base_max, exp_max)
-        assert census_module._key_words(bounds, table_small).shape[0] == words
+        layout = census_module._key_layout(bounds, table_small)
+        assert census_module._key_words(layout, max(base_max)).shape[0] == words
         assert count_distinct_rationals(
             bounds, table_small
         ) == count_distinct_rationals(bounds, table_small, strategy="sorted")
@@ -174,6 +175,19 @@ class TestCountDistinctRationals:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_key_words_are_charged_before_they_exist(self):
+        # 3e5 powers pass the one-word check, but 241-word keys would take 184 MB
+        bounds = Bounds((100000,), (1,))
+        table = build_factor_table(100000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"at least 72300000 .*--budget"):
+                count_distinct_rationals(bounds, table, budget=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_unknown_strategy_is_rejected(self, table_small):
         with pytest.raises(ValueError):
             count_distinct_rationals(Bounds((5,), (2,)), table_small, strategy="typo")
@@ -243,6 +257,14 @@ class TestVerifyUniqueRepresentation:
             verify_unique_representation(
                 Bounds((50, 60), (4, 5)), table_small, budget=4000
             )
+
+    def test_budget_charges_value_words(self):
+        # 3 624 members fit the budget, their 8-word values (28 992 words) must too
+        bounds = Bounds((1000,), (3,))
+        table = build_factor_table(1000)
+        with pytest.raises(BudgetError, match=r"key 3624 e-set members in 8 words.*--budget"):
+            verify_unique_representation(bounds, table, budget=28_991)
+        assert verify_unique_representation(bounds, table, budget=28_992) == []
 
     def test_budget_charges_the_work_done(self, table_small):
         # 9.4 million box tuples, but only 30 069 filter visits and 55 680 members

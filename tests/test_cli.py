@@ -8,7 +8,7 @@ import math
 import pytest
 
 import logforms.cli as cli_module
-from logforms import Bounds, CanonicalRational, FormTuple, count_e_set
+from logforms import Bounds, CanonicalRational, FormTuple, count_e_set, main_term
 from logforms.census import OrbitViolation
 from logforms.cli import main, parse_args
 
@@ -42,7 +42,7 @@ class TestParseArgs:
         )
         assert config.command == "census"
         assert config.bounds == Bounds((50, 60), (4, 5))
-        assert config.cutoff_override == 4.0
+        assert config.param.cutoff == 4.0
         assert config.budget == 1000
         assert config.format == "csv"
         assert config.output_path == "report.csv"
@@ -115,6 +115,31 @@ class TestReports:
         assert results["envelope_lower"] == pytest.approx(
             results["envelope_upper"] / 2
         )
+
+    def test_asymptotic_builds_no_sieve(self, capsys):
+        # 2e8 is past the sieve cap, and the main term factors nothing
+        argv = ["asymptotic", "-A", "200000000,5", "-B", "3,3"]
+        code, payload = _run_json(capsys, argv)
+        assert code == 0
+        assert payload["results"]["main_term"] == main_term(Bounds((200000000, 5), (3, 3)))
+
+    def test_finished_census_is_reported(self, capsys):
+        # the count fits the budget, the e-set filters (1.08e9 tuples) do not
+        argv = ["census", "-A", ",".join(["8"] * 10), "-B", ",".join(["2"] * 10)]
+        code, payload = _run_json(capsys, argv)
+        assert code == 0
+        assert payload["results"]["exact_count"] == 283_179
+        assert payload["results"]["e_count"] is None
+        assert payload["results"]["formula_value"] > 0
+        # eleven coordinates are past the main term's cap
+        box = ["-A", ",".join(["2"] * 11), "-B", ",".join(["1"] * 11)]
+        for argv in (["census", *box], ["converge", "--scales", "1", "--shape", "custom", *box]):
+            code, payload = _run_json(capsys, argv)
+            assert code == 0
+            report = payload["results"].get("reports", [payload["results"]])[0]
+            assert report["exact_count"] == 23
+            assert report["formula_value"] is None
+            assert report["ratio"] is None
 
     def test_lemmas_reports_three_conditions(self, capsys):
         code, payload = _run_json(capsys, ["lemmas", "-A", "40,40", "-B", "4,4"])

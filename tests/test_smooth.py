@@ -84,15 +84,18 @@ class TestCountLargePrimePower:
             )
             assert count_large_prime_power(bounds, param, table_grid) == scan
 
-    def test_pair_path_agrees_with_direct_scan(self, table_grid):
-        # large enough box to engage the inclusion-exclusion fast path
-        bounds = Bounds((600, 400), (1, 1))
-        param = FilterParameter.from_cutoff(9.0)
-        fast = count_large_prime_power(bounds, param, table_grid)
+    @pytest.mark.parametrize(
+        "base_max,cutoff",
+        [((1, 1), 2.0), ((1, 7), 4.0), ((8, 9), 9.0), ((40, 40), 30.0), ((600, 400), 9.0)],
+        ids=["1x1", "1x7", "8x9", "40x40", "600x400"],
+    )
+    def test_pair_path_agrees_with_direct_scan(self, table_grid, base_max, cutoff):
+        # every pair box is counted by inclusion-exclusion
+        param = FilterParameter.from_cutoff(cutoff)
+        fast = count_large_prime_power(Bounds(base_max, (1, 1)), param, table_grid)
         scan = sum(
-            has_large_prime_power((x, y), param, table_grid)
-            for x in range(1, 601)
-            for y in range(1, 401)
+            has_large_prime_power(bases, param, table_grid)
+            for bases in itertools.product(*[range(1, a + 1) for a in base_max])
         )
         assert fast == scan
 
