@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -34,6 +33,7 @@ from operator import le
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     Bounds,
     BudgetError,
     CanonicalRational,
@@ -43,6 +43,7 @@ from .core import (
     Permutation,
     build_factor_table,
     canonical_form,
+    charge,
 )
 from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
 from .asymptotics import main_term, separated_leading_term, symmetric_leading_term
@@ -77,7 +78,6 @@ class CensusReport:
     formula_value: float
     ratio: float
     e_count: int | None
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,10 @@ def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
     ``_key_words`` builds them.
     """
     limit = max(bounds.base_max)
-    spf = table.spf[: limit + 1]
+    primes = table.primes()
     slots = []
     word, place = 0, 1
-    for p in np.flatnonzero(spf == np.arange(limit + 1)).tolist()[1:]:  # 0 has spf 0
+    for p in primes[primes <= limit].tolist():
         powers = [p]
         while powers[-1] * p <= limit:
             powers.append(powers[-1] * p)
@@ -220,22 +220,15 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
 
     The budget is charged for every candidate value formed: the A_k*(2B_k+1)
     powers that make up the coordinate sets S_k, once per key word, then
-    |T_{k-1}| * |S_k| sums per layer, each checked before it is formed.  The
+    |T_{k-1}| * |S_k| sums per layer, each charged before it is formed.  The
     coordinates are combined in ascending order of |S_k|.
     """
-    charge = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
-
-    def check() -> None:
-        if charge > budget:
-            raise BudgetError(
-                f"census would combine at least {charge} candidate values and key "
-                f"words, over the budget of {budget}; raise --budget"
-            )
-
-    check()
+    combine = "census would combine at least {} candidate values and key words".format
+    work = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
+    charge(work, budget, combine(work))
     layout = _key_layout(bounds, table)
-    charge = layout[0] * powers
-    check()
+    work = layout[0] * powers
+    charge(work, budget, combine(work))
     keys = _key_words(layout, max(bounds.base_max))
     layers = sorted(
         (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
@@ -243,8 +236,8 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     )
     values, count = layers[0], layers[0].shape[1]
     for k, layer in enumerate(layers[1:], start=2):
-        charge += values.shape[1] * layer.shape[1]
-        check()
+        work += values.shape[1] * layer.shape[1]
+        charge(work, budget, combine(work))
         if k < bounds.n:
             values = _sumset(values, layer, count_only=False)
         else:
@@ -272,7 +265,7 @@ def count_distinct_rationals(
     bounds: Bounds,
     table: FactorTable | None = None,
     *,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     strategy: str = "set",
 ) -> int:
     """Exact number of distinct rationals a_1**b_1 * ... * a_n**b_n in the box.
@@ -288,8 +281,7 @@ def count_distinct_rationals(
     if strategy != "sorted":
         raise ValueError(f"unknown strategy {strategy!r}")
     space = bounds.tuple_space()
-    if space > budget:
-        raise BudgetError(f"tuple space {space} exceeds budget {budget}")
+    charge(space, budget, f"census oracle would walk {space} box tuples")
     return _count_sorted(bounds, table)
 
 
@@ -298,7 +290,7 @@ def verify_unique_representation(
     table: FactorTable | None = None,
     *,
     param: FilterParameter | None = None,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[OrbitViolation]:
     """Check that equal values in the filtered set come from reorderings only.
 
@@ -320,11 +312,8 @@ def verify_unique_representation(
     bases, exps = _admissible_tuples(bounds, param, table, budget)
     members = len(bases) * len(exps)
     layout = _key_layout(bounds, table)
-    if members * layout[0] > budget:
-        raise BudgetError(
-            f"uniqueness check would key {members} e-set members in {layout[0]} "
-            f"words each, over the budget of {budget}; raise --budget"
-        )
+    doing = f"uniqueness check would key {members} e-set members in {layout[0]} words each"
+    charge(members * layout[0], budget, doing)
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys
@@ -403,7 +392,7 @@ def run_census(
     bounds: Bounds,
     table: FactorTable | None = None,
     *,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     formula: float | None = None,
     param: FilterParameter | None = None,
 ) -> CensusReport:
@@ -415,7 +404,6 @@ def run_census(
     apply to the box, or when counting it would exceed the budget.
     """
     table = _usable_table(table, max(bounds.base_max))
-    start = time.perf_counter()
     exact = count_distinct_rationals(bounds, table, budget=budget)
     try:
         formula = main_term(bounds) if formula is None else formula
@@ -428,7 +416,6 @@ def run_census(
         e_count = count_e_set(bounds, param, table, budget=budget)[0]
     except (ConfigError, BudgetError):
         pass
-    elapsed = time.perf_counter() - start
     return CensusReport(
         bounds=bounds,
         tuple_space=bounds.tuple_space(),
@@ -436,7 +423,6 @@ def run_census(
         formula_value=formula,
         ratio=ratio,
         e_count=e_count,
-        elapsed=elapsed,
     )
 
 
@@ -470,7 +456,7 @@ def convergence_run(
     factors: int | None = None,
     base: Bounds | None = None,
     table: FactorTable | None = None,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> ConvergenceResult:
     """Census a scale sequence against the shape's leading-term formula.
 

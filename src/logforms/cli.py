@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .core import Bounds, BudgetError, ConfigError, build_factor_table
+from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, build_factor_table
 from .conditions import FilterParameter, count_e_set, default_cutoff
 from .smooth import check_condition
 from .asymptotics import leading_term_envelope, main_term, separated_leading_term
@@ -65,9 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="number of factors (cross-checked against -A/-B)")
     common.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
                         help="filter cutoff override (>= 2); default is min(B_i, ln A_i)")
-    common.add_argument("--budget", type=int, default=10**8, metavar="N",
-                        help="work budget (default 1e8): census candidate values, "
-                             "filtered base plus exponent tuples, e-set members checked")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+                        help="work budget (default 1e8), charged before each stage: "
+                             "census candidate values, filtered base plus exponent "
+                             "tuples, e-set key words, lemma base and exponent tuples")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the report here instead of stdout")

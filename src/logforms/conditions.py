@@ -34,11 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     Bounds,
-    BudgetError,
     ConfigError,
     FactorTable,
     FormTuple,
+    charge,
     factorize,
 )
 
@@ -232,11 +233,7 @@ def _admissible_tuples(
     tested on the grid of those bases.  Charges prod(A_i) + prod(2 B_i + 1).
     """
     work = math.prod(bounds.base_max) + math.prod(2 * b + 1 for b in bounds.exp_max)
-    if work > budget:
-        raise BudgetError(
-            f"e-set filters walk {work} base and exponent tuples, over the budget "
-            f"of {budget}; raise --budget"
-        )
+    charge(work, budget, f"e-set filters walk {work} base and exponent tuples")
     if max(bounds.base_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
     gpf = table.gpf()
@@ -250,7 +247,8 @@ def count_e_set(
     bounds: Bounds,
     param: FilterParameter,
     table: FactorTable,
-    budget: int = 10**8,
+    *,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, float]:
     """Exact size of the e-set in the box, with its density against 2**n * prod(A_i B_i).
 

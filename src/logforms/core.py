@@ -22,6 +22,8 @@ import numpy as np
 __all__ = [
     "BudgetError",
     "ConfigError",
+    "DEFAULT_BUDGET",
+    "charge",
     "Bounds",
     "FormTuple",
     "CanonicalRational",
@@ -39,6 +41,16 @@ class BudgetError(RuntimeError):
 
 class ConfigError(ValueError):
     """Parameters are structurally valid but outside the usable regime."""
+
+
+# The default of every ``budget`` parameter and of ``--budget``, in work units.
+DEFAULT_BUDGET = 10**8
+
+
+def charge(work: int, budget: int, doing: str) -> None:
+    """Refuse the stage that ``doing`` describes, before it starts, if work > budget."""
+    if work > budget:
+        raise BudgetError(f"{doing}, over the budget of {budget}; raise --budget")
 
 
 # Hard cap on sieve size; above this the table would not fit comfortably in

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, BudgetError, FactorTable, factorize
+from .core import DEFAULT_BUDGET, Bounds, FactorTable, charge, factorize
 from .conditions import (
     FilterParameter,
     _admissible_exps,
@@ -58,7 +58,7 @@ def count_large_prime_power(
     param: FilterParameter,
     table: FactorTable,
     *,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact count of base tuples in the box satisfying condition 1.
 
@@ -66,18 +66,16 @@ def count_large_prime_power(
     tested whole by the filter engine, charged prod(A_i) against the budget,
     except for pair boxes: those use an inclusion-exclusion over the divisor
     demands each clean partner value places on the other coordinate, which
-    never walks the pairs and is not charged.
+    never walks the pairs and is charged A_1 + A_2, the base values it tests.
     """
     a_max = bounds.base_max
     if max(a_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
     if bounds.n == 2:
+        charge(sum(a_max), budget, f"condition-1 pair count would test {sum(a_max)} base values")
         return _count_pairs_large_prime_power(bounds, param, table)
     space = math.prod(a_max)
-    if space > budget:
-        raise BudgetError(
-            f"condition-1 count would walk {space} base tuples, over budget {budget}; raise --budget"
-        )
+    charge(space, budget, f"condition-1 count would walk {space} base tuples")
     grid = [np.arange(1, a + 1) for a in a_max]
     return int(np.count_nonzero(_large_prime_power_grid(grid, param.cutoff, table)))
 
@@ -95,12 +93,9 @@ def _count_pairs_large_prime_power(
     those prime demands, each term being a stride count over the clean mask.
     """
     cutoff = param.cutoff
-    loop_i = 0 if bounds.base_max[0] <= bounds.base_max[1] else 1
-    y_max = bounds.base_max[loop_i]
-    x_max = bounds.base_max[1 - loop_i]
+    y_max, x_max = sorted(bounds.base_max)
     clean_x = ~_large_prime_power_grid([np.arange(x_max + 1)], cutoff, table)
-    clean_y = ~_large_prime_power_grid([np.arange(y_max + 1)], cutoff, table)
-    clean_x[0] = False
+    clean_x[0] = False  # the smaller coordinate's clean mask is a prefix of this one
 
     stride_counts: dict[int, int] = {1: int(clean_x[1:].sum())}
 
@@ -113,7 +108,7 @@ def _count_pairs_large_prime_power(
 
     clean_pairs = 0
     for a in range(1, y_max + 1):
-        if not clean_y[a]:
+        if not clean_x[a]:
             continue  # whole row is violating
         # signed subset products of the per-prime demands p**(k_p - mult_p(a))
         terms = [(1, 1)]
@@ -141,20 +136,22 @@ def count_smooth_base(
 
 
 def count_bounded_relation(
-    bounds: Bounds, param: FilterParameter, *, budget: int = 10**8
+    bounds: Bounds, param: FilterParameter, *, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact count of exponent tuples in the box satisfying condition 3.
 
     Bases never matter, so only the exponent box prod(2 B_i + 1) is involved.
     For two coordinates the qualifying nonzero pairs are exactly the multiples
     of primitive directions (q, p) with both entries <= coeff_bound, which are
-    disjoint families, so the count closes to a double sum of floor divisions.
-    Every other box counts the complement of the admissible exponent tuples,
-    found by the relation engine and charged prod(2 B_i + 1).
+    disjoint families, so the count closes to a double sum of floor divisions,
+    charged its coeff_bound**2 coefficient pairs.  Every other box counts the
+    complement of the admissible exponent tuples, found by the relation engine
+    and charged prod(2 B_i + 1).
     """
     k = param.coeff_bound
     b_max = bounds.exp_max
     if bounds.n == 2:
+        charge(k * k, budget, f"condition-3 pair count would walk {k * k} coefficient pairs")
         b1, b2 = b_max
         zeros = (2 * b1 + 1) + (2 * b2 + 1) - 1
         nonzero = 0
@@ -165,11 +162,7 @@ def count_bounded_relation(
                     nonzero += 4 * min(b1 // q, b2 // p)
         return zeros + nonzero
     space = math.prod(2 * b + 1 for b in b_max)
-    if space > budget:
-        raise BudgetError(
-            f"condition-3 count would walk {space} exponent tuples, over budget {budget}; "
-            "raise --budget"
-        )
+    charge(space, budget, f"condition-3 count would walk {space} exponent tuples")
     return space - len(_admissible_exps(b_max, param))
 
 
@@ -196,8 +189,6 @@ class ConditionReport:
     exact_count: int
     bound_value: float
     ratio: float
-    bounds: Bounds
-    param: FilterParameter
 
 
 def check_condition(
@@ -206,9 +197,9 @@ def check_condition(
     param: FilterParameter,
     table: FactorTable,
     *,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> ConditionReport:
-    """Measure one condition's exact count against its envelope."""
+    """Measure one condition's exact count against its envelope; 1 and 3 are charged."""
     if condition == 1:
         count = count_large_prime_power(bounds, param, table, budget=budget)
     elif condition == 2:
@@ -218,4 +209,4 @@ def check_condition(
     else:
         raise ValueError(f"condition must be 1, 2 or 3, got {condition}")
     bound = condition_bound(condition, bounds, param)
-    return ConditionReport(condition, count, bound, count / bound, bounds, param)
+    return ConditionReport(condition, count, bound, count / bound)

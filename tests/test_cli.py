@@ -232,6 +232,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert "budget" in captured.err.lower()
 
+    def test_lemmas_pair_charge_refuses(self, capsys):
+        # the pair count of condition 1 is charged A_1 + A_2 before it loops
+        code = main(["lemmas", "-A", "100000,100000", "-B", "5,5", "--budget", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--budget" in captured.err
+
     def test_census_power_charge_refuses(self, capsys):
         # 177-word keys: the coordinate powers alone would take about 2.85 GB
         code = main(["census", "-A", "10000,10000", "-B", "100,100"])

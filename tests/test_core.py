@@ -1,4 +1,4 @@
-"""Factor table, canonical forms, and permutations."""
+"""Factor table, canonical forms, permutations, and the budget meter."""
 
 import math
 import random
@@ -10,12 +10,46 @@ from logforms import (
     Bounds,
     BudgetError,
     CanonicalRational,
+    FilterParameter,
     FormTuple,
     Permutation,
     build_factor_table,
     canonical_form,
+    count_bounded_relation,
+    count_distinct_rationals,
+    count_e_set,
+    count_large_prime_power,
     factorize,
+    run_census,
+    verify_unique_representation,
 )
+from logforms.core import charge
+
+# cutoff 4 has coefficient bound 2, so even the pair closed form does work
+_PARAM = FilterParameter(4.0)
+_PAIR = Bounds((20, 20), (3, 3))
+
+# every entry point that takes a budget, called on a small box
+_METERED = {
+    "census-set": lambda t: count_distinct_rationals(_PAIR, t, budget=1),
+    "census-sorted": lambda t: count_distinct_rationals(
+        _PAIR, t, budget=1, strategy="sorted"
+    ),
+    "verify": lambda t: verify_unique_representation(_PAIR, t, param=_PARAM, budget=1),
+    "e-set": lambda t: count_e_set(_PAIR, _PARAM, t, budget=1),
+    "run-census": lambda t: run_census(_PAIR, t, budget=1),
+    "condition-1-n1": lambda t: count_large_prime_power(
+        Bounds((20,), (3,)), _PARAM, t, budget=1
+    ),
+    "condition-1-n2": lambda t: count_large_prime_power(_PAIR, _PARAM, t, budget=1),
+    "condition-1-n3": lambda t: count_large_prime_power(
+        Bounds((10, 10, 10), (3, 3, 3)), _PARAM, t, budget=1
+    ),
+    "condition-3-n2": lambda t: count_bounded_relation(_PAIR, _PARAM, budget=1),
+    "condition-3-n3": lambda t: count_bounded_relation(
+        Bounds((10, 10, 10), (3, 3, 3)), _PARAM, budget=1
+    ),
+}
 
 
 class TestBounds:
@@ -63,6 +97,19 @@ class TestFactorTable:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             build_factor_table(10**8 + 1)
+
+
+class TestBudgetMeter:
+    def test_charge_refuses_only_past_the_budget(self):
+        charge(5, 5, "stage would do 5 things")
+        refusal = r"^stage would do 6 things, over the budget of 5; raise --budget$"
+        with pytest.raises(BudgetError, match=refusal):
+            charge(6, 5, "stage would do 6 things")
+
+    @pytest.mark.parametrize("name", sorted(_METERED))
+    def test_every_budget_is_charged(self, name, table_small):
+        with pytest.raises(BudgetError, match=r", over the budget of 1; raise --budget$"):
+            _METERED[name](table_small)
 
 
 class TestFactorize:
