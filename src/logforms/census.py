@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
 
-import numpy as np
-
 from .core import (
     DEFAULT_BUDGET,
     Bounds,
@@ -41,9 +39,10 @@ from .core import (
     FactorTable,
     FormTuple,
     Permutation,
-    build_factor_table,
     canonical_form,
     charge,
+    deferred_factor_table,
+    np,
 )
 from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
 from .asymptotics import main_term, separated_leading_term, symmetric_leading_term
@@ -99,8 +98,9 @@ class ConvergenceResult:
 
 
 def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
+    """``table`` if it reaches ``limit``, else a table that sieves on first use."""
     if table is None or table.limit < limit:
-        return build_factor_table(limit)
+        return deferred_factor_table(limit)
     return table
 
 

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, build_factor_table
+from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, deferred_factor_table
 from .conditions import FilterParameter, count_e_set, default_cutoff
 from .smooth import check_condition
 from .asymptotics import leading_term_envelope, main_term, separated_leading_term
@@ -216,7 +216,8 @@ def _execute(config: RunConfig):
         }
         return results, [results], list(results), False
 
-    table = build_factor_table(max(bounds.base_max)) if bounds is not None else None
+    # the sieve runs on the table's first use, after the stage's box-only charge
+    table = deferred_factor_table(max(bounds.base_max)) if bounds is not None else None
     if config.command == "census":
         report = run_census(bounds, table, budget=config.budget, param=param)
         results = _report_rows(report)

@@ -31,8 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DEFAULT_BUDGET,
     Bounds,
@@ -41,6 +39,7 @@ from .core import (
     FormTuple,
     charge,
     factorize,
+    np,
 )
 
 __all__ = [

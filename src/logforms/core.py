@@ -9,15 +9,20 @@ doubles as the deduplication key for the exact enumeration in
 
 Exponent arithmetic uses plain Python integers, which cannot overflow, so no
 width guard is needed anywhere in this module.
+
+numpy is imported lazily: ``np`` below is the one handle the package's modules
+use, and numpy's own import runs on the first attribute read through it, so a
+command that never touches an array (the main term) never pays for it.  On
+Python < 3.12 that first read must not race from two threads.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "BudgetError",
@@ -30,9 +35,32 @@ __all__ = [
     "Permutation",
     "FactorTable",
     "build_factor_table",
+    "deferred_factor_table",
     "factorize",
     "canonical_form",
 ]
+
+
+def _lazy(name: str):
+    """The module ``name``, executed on its first attribute read.
+
+    An imported module is returned as it is.  Otherwise the lazy module is
+    registered in ``sys.modules``, so a later ``import name`` finds it (and,
+    reading its spec, loads it at once).
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 
 class BudgetError(RuntimeError):
@@ -165,18 +193,27 @@ class Permutation:
 class FactorTable:
     """Read-only prime-factor table for integers 2..limit.
 
-    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  The sieve
-    is built once and never mutated.  The greatest-prime-factor array of
-    ``gpf()`` is built on first use and kept; two threads that race on that
-    first use build equal arrays, so the table is safe to share.
+    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  A table
+    made without ``spf`` (see ``deferred_factor_table``) sieves it through
+    ``build_factor_table`` on first use, so a stage that a budget charge
+    refuses before it reads the table never pays for the sieve.  The sieve is
+    never mutated.  The greatest-prime-factor array of ``gpf()`` is built on
+    first use and kept.  Two threads that race on a first use build equal
+    arrays, so the table is safe to share.
     """
 
-    __slots__ = ("limit", "spf", "_gpf")
+    __slots__ = ("limit", "_spf", "_gpf")
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, spf: np.ndarray | None = None):
         self.limit = limit
-        self.spf = spf
+        self._spf = spf
         self._gpf: np.ndarray | None = None
+
+    @property
+    def spf(self) -> np.ndarray:
+        if self._spf is None:
+            self._spf = build_factor_table(self.limit).spf
+        return self._spf
 
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending."""
@@ -197,16 +234,21 @@ class FactorTable:
         return f"FactorTable(limit={self.limit})"
 
 
-def build_factor_table(limit: int) -> FactorTable:
-    """Sieve smallest prime factors for every integer up to ``limit``.
-
-    limit = 1 yields an empty table (there are no integers >= 2 to factor).
-    """
+def _sieve_limit(limit: int) -> int:
     limit = int(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > _SIEVE_CAP:
         raise BudgetError(f"sieve limit {limit} exceeds memory budget {_SIEVE_CAP}")
+    return limit
+
+
+def build_factor_table(limit: int) -> FactorTable:
+    """Sieve smallest prime factors for every integer up to ``limit``.
+
+    limit = 1 yields an empty table (there are no integers >= 2 to factor).
+    """
+    limit = _sieve_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -217,6 +259,11 @@ def build_factor_table(limit: int) -> FactorTable:
     rest = rest[rest >= 2]
     spf[rest] = rest
     return FactorTable(limit, spf)
+
+
+def deferred_factor_table(limit: int) -> FactorTable:
+    """A table for 2..limit whose sieve runs on its first use; the limit is checked now."""
+    return FactorTable(_sieve_limit(limit))
 
 
 def factorize(m: int, table: FactorTable) -> tuple[tuple[int, int], ...]:

@@ -22,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DEFAULT_BUDGET, Bounds, FactorTable, charge, factorize
+from .core import DEFAULT_BUDGET, Bounds, FactorTable, charge, factorize, np
 from .conditions import (
     FilterParameter,
     _admissible_exps,

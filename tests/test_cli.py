@@ -13,6 +13,31 @@ from logforms.census import OrbitViolation
 from logforms.cli import main, parse_args
 
 
+# argv: CLI invocations, one per argument.  Runs each, then prints which
+# numpy submodules and which layer modules the interpreter has loaded.
+_START = """
+import contextlib, io, sys
+import logforms.cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        logforms.cli.main(argv.split())
+print(sorted(name for name in sys.modules if name.startswith("numpy.")))
+print(sorted(name for name in sys.modules if name.startswith("logforms.")))
+"""
+
+# Refused by a charge that needs only the box; each would sieve 5e7 bases first.
+_BOX_REFUSALS = {
+    "census -A 50000000 -B 1 --budget 10": "census would combine at least 150000000 "
+    "candidate values and key words",
+    "verify-theorem -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
+    "2500000000000049 base and exponent tuples",
+    "e-set -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
+    "2500000000000049 base and exponent tuples",
+    "lemmas -A 50000000,50000000 -B 3,3 --budget 10": "condition-1 pair count would "
+    "test 100000000 base values",
+}
+
+
 def _run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -248,6 +273,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--budget" in captured.err
 
+    @pytest.mark.parametrize("argv", sorted(_BOX_REFUSALS))
+    def test_box_refusal_skips_the_sieve(self, argv, capsys, sieves):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {_BOX_REFUSALS[argv]}, over the budget of 10; raise --budget\n"
+        )
+        assert sieves == []
+
+    def test_truncated_converge_skips_the_sieve(self, capsys, sieves):
+        argv = ["converge", "--shape", "custom", "-A", "50000000", "-B", "1",
+                "--scales", "1", "--budget", "10"]
+        code, payload = _run_json(capsys, argv)
+        assert code == 0
+        assert payload["results"]["truncated_at"] == 1
+        assert payload["results"]["reports"] == []
+        assert sieves == []
+
+    def test_admitted_box_sieves_once(self, capsys, sieves):
+        code = main(["verify-theorem", "-A", "20,30", "-B", "3,3"])
+        capsys.readouterr()
+        assert code == 0
+        assert sieves == [30]
+
     def test_memory_error_returns_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.01 GiB")
@@ -259,3 +310,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "memory" in captured.err
         assert "verify-theorem" in captured.err
+
+
+class TestStart:
+    def test_asymptotic_and_refusals_never_load_numpy(self, fresh_python):
+        runs = ["asymptotic -A 10,20 -B 2,3", *sorted(_BOX_REFUSALS)]
+        code, out, err = fresh_python(_START, *runs)
+        assert code == 0, err
+        numpy_loaded, layers = out.splitlines()
+        assert numpy_loaded == "[]"
+        # every layer module still loads with the CLI; only numpy waits
+        for name in ("asymptotics", "census", "cli", "conditions", "core", "smooth"):
+            assert f"'logforms.{name}'" in layers
+
+    def test_census_loads_numpy(self, fresh_python):
+        code, out, err = fresh_python(_START, "census -A 10 -B 3")
+        assert code == 0, err
+        assert out.splitlines()[0] != "[]"

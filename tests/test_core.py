@@ -1,4 +1,4 @@
-"""Factor table, canonical forms, permutations, and the budget meter."""
+"""Factor table, canonical forms, permutations, the budget meter and the lazy numpy handle."""
 
 import math
 import random
@@ -15,6 +15,7 @@ from logforms import (
     Permutation,
     build_factor_table,
     canonical_form,
+    convergence_run,
     count_bounded_relation,
     count_distinct_rationals,
     count_e_set,
@@ -23,7 +24,7 @@ from logforms import (
     run_census,
     verify_unique_representation,
 )
-from logforms.core import charge
+from logforms.core import charge, deferred_factor_table
 
 # cutoff 4 has coefficient bound 2, so even the pair closed form does work
 _PARAM = FilterParameter(4.0)
@@ -49,6 +50,16 @@ _METERED = {
     "condition-3-n3": lambda t: count_bounded_relation(
         Bounds((10, 10, 10), (3, 3, 3)), _PARAM, budget=1
     ),
+}
+
+# entry points that build their own table, on a box that a charge needing only
+# the box refuses before the table for 5e7 bases is sieved
+_BIG = Bounds((50_000_000, 20), (3, 3))
+_TABLELESS = {
+    "census-set": lambda: count_distinct_rationals(_BIG, budget=1),
+    "census-sorted": lambda: count_distinct_rationals(_BIG, budget=1, strategy="sorted"),
+    "verify": lambda: verify_unique_representation(_BIG, param=_PARAM, budget=1),
+    "run-census": lambda: run_census(_BIG, budget=1),
 }
 
 
@@ -98,6 +109,19 @@ class TestFactorTable:
         with pytest.raises(BudgetError):
             build_factor_table(10**8 + 1)
 
+    def test_deferred_table_sieves_on_first_use(self, sieves, table_small):
+        table = deferred_factor_table(300)
+        assert table.limit == 300 and sieves == []
+        assert table.spf.tolist() == table_small.spf.tolist()
+        assert table.gpf().tolist() == table_small.gpf().tolist()
+        assert sieves == [300]
+
+    def test_deferred_table_checks_its_limit_at_once(self):
+        with pytest.raises(BudgetError, match="exceeds memory budget"):
+            deferred_factor_table(10**8 + 1)
+        with pytest.raises(ValueError):
+            deferred_factor_table(0)
+
 
 class TestBudgetMeter:
     def test_charge_refuses_only_past_the_budget(self):
@@ -110,6 +134,17 @@ class TestBudgetMeter:
     def test_every_budget_is_charged(self, name, table_small):
         with pytest.raises(BudgetError, match=r", over the budget of 1; raise --budget$"):
             _METERED[name](table_small)
+
+    @pytest.mark.parametrize("name", sorted(_TABLELESS))
+    def test_refusal_without_a_table_skips_the_sieve(self, name, sieves):
+        with pytest.raises(BudgetError):
+            _TABLELESS[name]()
+        assert sieves == []
+
+    def test_truncated_sweep_skips_the_sieve(self, sieves):
+        outcome = convergence_run([1], "custom", base=Bounds((50_000_000,), (1,)), budget=10)
+        assert outcome.truncated_at == 1
+        assert sieves == []
 
 
 class TestFactorize:
@@ -194,3 +229,31 @@ class TestPermutation:
             inverse = sigma.inverse().images
             assert all(inverse[sigma.images[i]] == i for i in range(n))
             assert all(sigma.images[inverse[i]] == i for i in range(n))
+
+
+# argv: the two modules to import, in order.  Prints the census count by both
+# strategies and the e-set count of one small box.
+_IMPORT_ORDER = """
+import sys
+for name in sys.argv[1:]:
+    __import__(name)
+import numpy
+import logforms.core
+from logforms import Bounds, build_factor_table, count_distinct_rationals, count_e_set, default_cutoff
+assert logforms.core.np is numpy is sys.modules["numpy"]
+bounds = Bounds((20, 20), (3, 3))
+table = build_factor_table(20)
+print(
+    count_distinct_rationals(bounds, table),
+    count_distinct_rationals(bounds, table, strategy="sorted"),
+    count_e_set(bounds, default_cutoff(bounds), table)[0],
+)
+"""
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize("order", [("numpy", "logforms"), ("logforms", "numpy")])
+    def test_either_import_order_counts(self, order, fresh_python):
+        code, out, err = fresh_python(_IMPORT_ORDER, *order)
+        assert code == 0, err
+        assert out.split() == ["4069", "4069", "1440"]
