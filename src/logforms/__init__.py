@@ -24,10 +24,7 @@ from .conditions import (
     FilterParameter,
     count_e_set,
     default_cutoff,
-    has_bounded_relation,
-    has_large_prime_power,
     has_smooth_base,
-    in_e_set,
 )
 from .smooth import (
     ConditionReport,
@@ -76,10 +73,7 @@ __all__ = [
     "FilterParameter",
     "count_e_set",
     "default_cutoff",
-    "has_bounded_relation",
-    "has_large_prime_power",
     "has_smooth_base",
-    "in_e_set",
     "ConditionReport",
     "check_condition",
     "condition_bound",

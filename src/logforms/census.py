@@ -41,7 +41,6 @@ from .core import (
     Permutation,
     canonical_form,
     charge,
-    deferred_factor_table,
     np,
 )
 from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
@@ -100,7 +99,7 @@ class ConvergenceResult:
 def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
     """``table`` if it reaches ``limit``, else a table that sieves on first use."""
     if table is None or table.limit < limit:
-        return deferred_factor_table(limit)
+        return FactorTable(limit)
     return table
 
 
@@ -457,20 +456,22 @@ def convergence_run(
     base: Bounds | None = None,
     table: FactorTable | None = None,
     budget: int = DEFAULT_BUDGET,
+    param: FilterParameter | None = None,
 ) -> ConvergenceResult:
     """Census a scale sequence against the shape's leading-term formula.
 
     Shapes: ``equal`` uses A_i = B_i = s; ``separated`` uses A_i = B_i = s**i;
     ``custom`` multiplies the given base bounds by s and compares against the
-    full main term.  A scale whose box exceeds the budget truncates the sweep
-    and is reported in ``truncated_at``.
+    full main term.  Every box's filtered set is counted at ``param``, or at
+    the box's own default cutoff when it is None.  A scale whose box exceeds
+    the budget truncates the sweep and is reported in ``truncated_at``.
     """
     reports: list[CensusReport] = []
     truncated_at: int | None = None
     for scale in scales:
         bounds, formula = _shape_bounds(shape, scale, factors, base)
         try:
-            report = run_census(bounds, table, budget=budget, formula=formula)
+            report = run_census(bounds, table, budget=budget, formula=formula, param=param)
         except BudgetError:
             truncated_at = scale
             break

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, deferred_factor_table
+from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, FactorTable
 from .conditions import FilterParameter, count_e_set, default_cutoff
 from .smooth import check_condition
 from .asymptotics import leading_term_envelope, main_term, separated_leading_term
@@ -147,12 +147,13 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     elif bounds is None:
         parser.error(f"{ns.command} requires -A and -B")
 
-    # --C, else the default rule; commands built around the filter need one
+    # --C, else the default rule; commands built around the filter need one, and
+    # converge, whose boxes each have their own default, takes only --C
     param = None
     try:
         if ns.cutoff is not None:
             param = FilterParameter.from_cutoff(ns.cutoff)
-        elif bounds is not None:
+        elif bounds is not None and ns.command != "converge":
             param = default_cutoff(bounds)
     except ConfigError as exc:
         if ns.cutoff is not None or ns.command in _CUTOFF_COMMANDS:
@@ -217,7 +218,7 @@ def _execute(config: RunConfig):
         return results, [results], list(results), False
 
     # the sieve runs on the table's first use, after the stage's box-only charge
-    table = deferred_factor_table(max(bounds.base_max)) if bounds is not None else None
+    table = FactorTable(max(bounds.base_max)) if bounds is not None else None
     if config.command == "census":
         report = run_census(bounds, table, budget=config.budget, param=param)
         results = _report_rows(report)
@@ -283,6 +284,7 @@ def _execute(config: RunConfig):
             base=bounds,
             table=table,
             budget=config.budget,
+            param=param,
         )
         rows = [
             _report_rows(report, scale)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,6 @@ from .core import (
     Bounds,
     ConfigError,
     FactorTable,
-    FormTuple,
     charge,
     factorize,
     np,
@@ -45,10 +43,7 @@ from .core import (
 __all__ = [
     "FilterParameter",
     "default_cutoff",
-    "has_large_prime_power",
     "has_smooth_base",
-    "has_bounded_relation",
-    "in_e_set",
     "count_e_set",
 ]
 
@@ -93,35 +88,12 @@ def default_cutoff(bounds: Bounds) -> FilterParameter:
     return FilterParameter.from_cutoff(cutoff)
 
 
-def has_large_prime_power(
-    bases: Sequence[int], param: FilterParameter, table: FactorTable
-) -> bool:
-    """Condition 1: some prime p has total multiplicity e >= 2 in the base
-    product with p**e >= cutoff.
-
-    Equivalent to the existence of k >= 2 with p**k dividing the product and
-    p**k >= cutoff, since the maximal power is the easiest to push past the
-    cutoff.
-    """
-    acc: Counter[int] = Counter()
-    for a in bases:
-        for p, e in factorize(a, table):
-            acc[p] += e
-    return any(e >= 2 and p**e >= param.cutoff for p, e in acc.items())
-
-
 def has_smooth_base(
     bases: Sequence[int], param: FilterParameter, table: FactorTable
 ) -> bool:
     """Condition 2: some base is cutoff-smooth (1 is vacuously smooth)."""
     c = param.cutoff
     return any(all(p <= c for p, _ in factorize(a, table)) for a in bases)
-
-
-def has_bounded_relation(exps: Sequence[int], param: FilterParameter) -> bool:
-    """Condition 3: a nonzero integer vector c with |c_i| <= coeff_bound and
-    c_1*b_1 + ... + c_n*b_n = 0 exists; the one-row call of ``_related``."""
-    return bool(_related(np.array([tuple(exps)], dtype=np.int64), param.coeff_bound)[0])
 
 
 def _related(exps: np.ndarray, k: int) -> np.ndarray:
@@ -158,15 +130,6 @@ def _related(exps: np.ndarray, k: int) -> np.ndarray:
         at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
         related[block] = found | (wanted[at] == keys).any(axis=1)
     return related
-
-
-def in_e_set(t: FormTuple, param: FilterParameter, table: FactorTable) -> bool:
-    """Whether ``t`` passes all three filters (fails every exclusion condition)."""
-    return (
-        not has_large_prime_power(t.bases, param, table)
-        and not has_smooth_base(t.bases, param, table)
-        and not has_bounded_relation(t.exps, param)
-    )
 
 
 def _min_bad_exponent(p: int, cutoff: float) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "Permutation",
     "FactorTable",
     "build_factor_table",
-    "deferred_factor_table",
     "factorize",
     "canonical_form",
 ]
@@ -135,10 +134,6 @@ class FormTuple:
         if any(a < 1 for a in self.bases):
             raise ValueError("every base must be a positive integer")
 
-    @property
-    def n(self) -> int:
-        return len(self.bases)
-
 
 @dataclass(frozen=True)
 class CanonicalRational:
@@ -193,8 +188,8 @@ class Permutation:
 class FactorTable:
     """Read-only prime-factor table for integers 2..limit.
 
-    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  A table
-    made without ``spf`` (see ``deferred_factor_table``) sieves it through
+    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  The limit
+    is checked at once.  A table made without ``spf`` sieves it through
     ``build_factor_table`` on first use, so a stage that a budget charge
     refuses before it reads the table never pays for the sieve.  The sieve is
     never mutated.  The greatest-prime-factor array of ``gpf()`` is built on
@@ -205,7 +200,7 @@ class FactorTable:
     __slots__ = ("limit", "_spf", "_gpf")
 
     def __init__(self, limit: int, spf: np.ndarray | None = None):
-        self.limit = limit
+        self.limit = _sieve_limit(limit)
         self._spf = spf
         self._gpf: np.ndarray | None = None
 
@@ -259,11 +254,6 @@ def build_factor_table(limit: int) -> FactorTable:
     rest = rest[rest >= 2]
     spf[rest] = rest
     return FactorTable(limit, spf)
-
-
-def deferred_factor_table(limit: int) -> FactorTable:
-    """A table for 2..limit whose sieve runs on its first use; the limit is checked now."""
-    return FactorTable(_sieve_limit(limit))
 
 
 def factorize(m: int, table: FactorTable) -> tuple[tuple[int, int], ...]:

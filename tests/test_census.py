@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import logforms.census as census_module
+import logforms.conditions as conditions_module
 from logforms import (
     Bounds,
     BudgetError,
@@ -35,6 +36,37 @@ def _unfiltered_box(bounds, param, table, budget):
     bases = list(itertools.product(*(range(1, a + 1) for a in bounds.base_max)))
     exps = list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)))
     return np.array(bases, dtype=np.int64), np.array(exps, dtype=np.int64)
+
+
+def _admissible_without(dropped):
+    """Stand-in for the filter engine that drops exclusion condition ``dropped``
+    (None drops none), built from the engine's own parts."""
+
+    def admissible(bounds, param, table, budget):
+        gpf = table.gpf()
+        columns = [
+            np.arange(1, a + 1) if dropped == 2 else np.flatnonzero(gpf[: a + 1] > param.cutoff)
+            for a in bounds.base_max
+        ]
+        bad = conditions_module._large_prime_power_grid(columns, param.cutoff, table)
+        clean = np.nonzero(np.ones_like(bad) if dropped == 1 else ~bad)
+        bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
+        if dropped == 3:
+            return bases, _unfiltered_box(bounds, param, table, budget)[1]
+        return bases, conditions_module._admissible_exps(bounds.exp_max, param)
+
+    return admissible
+
+
+def _grouping_violations(base_rows, exp_rows, table):
+    """The values shared by two orbits among every base row with every
+    exponent row, by grouping canonical forms in a dict."""
+    groups = {}
+    for bases in base_rows:
+        for exps in exp_rows:
+            value = canonical_form(FormTuple(bases, exps), table)
+            groups.setdefault(value, set()).add(tuple(sorted(zip(bases, exps))))
+    return {value for value, orbits in groups.items() if len(orbits) > 1}
 
 
 def _same_orbit(first, second):
@@ -231,12 +263,11 @@ class TestVerifyUniqueRepresentation:
         for bounds in wide_keys + [_random_bounds(rng, 6_000) for _ in range(10)]:
             param = FilterParameter.from_cutoff(2.0)
             violations = verify_unique_representation(bounds, table_small, param=param)
-            groups = {}
-            for bases in itertools.product(*(range(1, a + 1) for a in bounds.base_max)):
-                for exps in itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)):
-                    value = canonical_form(FormTuple(bases, exps), table_small)
-                    groups.setdefault(value, set()).add(tuple(sorted(zip(bases, exps))))
-            expected = {value for value, orbits in groups.items() if len(orbits) > 1}
+            expected = _grouping_violations(
+                itertools.product(*(range(1, a + 1) for a in bounds.base_max)),
+                list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))),
+                table_small,
+            )
             reported = [v.value for v in violations]
             assert len(reported) == len(set(reported))
             assert set(reported) == expected, bounds
@@ -246,6 +277,27 @@ class TestVerifyUniqueRepresentation:
                 assert canonical_form(v.second, table_small) == v.value
                 assert not _same_orbit(v.first, v.second)
         assert found > 100
+
+    @pytest.mark.parametrize(
+        "dropped,count", [(None, 0), (1, 245), (2, 73), (3, 85)], ids=["none", "c1", "c2", "c3"]
+    )
+    def test_each_filter_stops_real_collisions(self, table_small, monkeypatch, dropped, count):
+        # with one exclusion condition off, genuine values of the box collide;
+        # verify must report exactly the values the grouping finds
+        bounds = Bounds((20, 20), (3, 3))
+        param = FilterParameter.from_cutoff(2.0)
+        admissible = _admissible_without(dropped)
+        bases, exps = admissible(bounds, param, table_small, 10**8)
+        if dropped is None:
+            engine = conditions_module._admissible_tuples(bounds, param, table_small, 10**8)
+            assert [rows.tolist() for rows in engine] == [bases.tolist(), exps.tolist()]
+        monkeypatch.setattr(census_module, "_admissible_tuples", admissible)
+        violations = verify_unique_representation(bounds, table_small, param=param)
+        expected = _grouping_violations(bases.tolist(), exps.tolist(), table_small)
+        assert {v.value for v in violations} == expected
+        assert len(violations) == count
+        for v in violations:
+            assert not _same_orbit(v.first, v.second)
 
     def test_budget_guard(self, table_small):
         with pytest.raises(BudgetError, match=r"walk 3099 .*--budget"):

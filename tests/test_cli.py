@@ -8,7 +8,15 @@ import math
 import pytest
 
 import logforms.cli as cli_module
-from logforms import Bounds, CanonicalRational, FormTuple, count_e_set, main_term
+from logforms import (
+    Bounds,
+    CanonicalRational,
+    FilterParameter,
+    FormTuple,
+    count_e_set,
+    default_cutoff,
+    main_term,
+)
 from logforms.census import OrbitViolation
 from logforms.cli import main, parse_args
 
@@ -208,6 +216,28 @@ class TestReports:
             assert float(row["ratio"]) == report["ratio"]
             assert row["e_count"] == ""
             assert report["e_count"] is None
+
+    def test_converge_honours_cutoff(self, capsys, table_small):
+        sweep = ["converge", "--scales", "8,10", "-n", "2"]
+        for flags, cutoff, e_counts in (
+            ([], None, [2240, 5040]),  # each box at its own default cutoff
+            (["--C", "3"], 3.0, [384, 1280]),
+            (["--C", "5"], 5.0, [0, 0]),
+        ):
+            code, payload = _run_json(capsys, sweep + flags)
+            assert code == 0
+            assert payload["config"]["cutoff"] == cutoff
+            reports = payload["results"]["reports"]
+            assert [row["e_count"] for row in reports] == e_counts
+            for scale, row in zip((8, 10), reports):
+                bounds = Bounds((scale, scale), (scale, scale))
+                param = default_cutoff(bounds) if cutoff is None else FilterParameter(cutoff)
+                assert row["e_count"] == count_e_set(bounds, param, table_small)[0]
+        # a custom sweep reports no cutoff of its base box either
+        code, payload = _run_json(capsys, sweep[:3] + ["--shape", "custom", "-A", "8", "-B", "2"])
+        assert code == 0
+        assert payload["config"]["cutoff"] is None
+        assert payload["config"]["coeff_bound"] is None
 
     def test_infinite_ratio_is_null(self, capsys):
         # B_1 = 1 makes the main term 0, so the ratio is infinite

@@ -8,29 +8,28 @@ import numpy as np
 import pytest
 
 import logforms.conditions as conditions_module
+from conftest import large_prime_power_scan, relation_scan
 from logforms import (
     Bounds,
     BudgetError,
     ConfigError,
     FilterParameter,
-    FormTuple,
     count_e_set,
     count_large_prime_power,
     default_cutoff,
-    has_bounded_relation,
-    has_large_prime_power,
     has_smooth_base,
-    in_e_set,
 )
 
 
-def _relation_scan(rows, k):
-    """Condition 3 per row of a (q, n) array by exhaustive scan of the
-    coefficient box; float64 products of these small integers are exact."""
-    coeffs = np.array(list(itertools.product(range(-k, k + 1), repeat=rows.shape[1])))
-    coeffs = coeffs[(coeffs != 0).any(axis=1)].astype(float)
-    chunks = np.array_split(rows.astype(float), max(1, len(rows) // 16))
-    return np.concatenate([(coeffs @ chunk.T == 0).any(axis=0) for chunk in chunks])
+def _prime_power(bases, cutoff, table):
+    """Condition 1 by the grid engine on the one-cell grid of ``bases``."""
+    columns = [np.array([a]) for a in bases]
+    return bool(conditions_module._large_prime_power_grid(columns, cutoff, table).item())
+
+
+def _related(exps, k):
+    """Condition 3 by the relation engine on the one-row array of ``exps``."""
+    return bool(conditions_module._related(np.array([exps], dtype=np.int64), k)[0])
 
 
 class TestFilterParameter:
@@ -91,30 +90,17 @@ class TestLargePrimePower:
         ],
     )
     def test_examples(self, table_small, bases, cutoff, expected):
-        param = FilterParameter.from_cutoff(cutoff)
-        assert has_large_prime_power(bases, param, table_small) is expected
+        assert large_prime_power_scan(bases, cutoff) is expected
+        assert _prime_power(bases, cutoff, table_small) is expected
 
     def test_against_trial_division(self, table_small):
-        # independent route: count each prime's multiplicity in the literal product
         rng = random.Random(22)
         for _ in range(200):
             n = rng.randint(1, 3)
             bases = tuple(rng.randint(1, 60) for _ in range(n))
             cutoff = rng.choice([2.0, 3.0, 4.0, 9.0, 25.0])
-            param = FilterParameter.from_cutoff(cutoff)
-            product = math.prod(bases)
-            expected = False
-            for p in range(2, max(bases) + 1):
-                if any(p % q == 0 for q in range(2, p)):
-                    continue
-                e, m = 0, product
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if e >= 2 and p**e >= cutoff:
-                    expected = True
-                    break
-            assert has_large_prime_power(bases, param, table_small) is expected
+            expected = large_prime_power_scan(bases, cutoff)
+            assert _prime_power(bases, cutoff, table_small) is expected, (bases, cutoff)
 
 
 class TestSmoothBase:
@@ -134,21 +120,21 @@ class TestSmoothBase:
 
 
 class TestBoundedRelation:
+    # coefficient bound 2, the window of the cutoff 4
     def test_zero_and_single(self):
-        param = FilterParameter.from_cutoff(4.0)
-        assert has_bounded_relation((0, 5), param)
-        assert has_bounded_relation((0,), param)
-        assert not has_bounded_relation((5,), param)
+        assert _related((0, 5), 2)
+        assert _related((0,), 2)
+        assert not _related((5,), 2)
 
     def test_matching_magnitudes(self):
-        param = FilterParameter.from_cutoff(4.0)
-        assert has_bounded_relation((3, -3), param)
-        assert has_bounded_relation((3, 3), param)
+        assert _related((3, -3), 2)
+        assert _related((3, 3), 2)
 
     def test_small_cases(self):
-        param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
-        assert has_bounded_relation((1, 2), param)  # 2*1 - 1*2 = 0
-        assert not has_bounded_relation((2, 5), param)
+        for exps in ((1, 2), (2, 5), (2, -4), (3, 7), (2, 3, 7), (1, -2, 5)):
+            assert _related(exps, 2) is bool(relation_scan([exps], 2)[0]), exps
+        assert _related((1, 2), 2)  # 2*1 - 1*2 = 0
+        assert not _related((2, 5), 2)
 
     def test_meet_in_middle_matches_exhaustive(self):
         # the engine on whole (q, n) arrays, many rows per block; mostly distinct
@@ -167,43 +153,28 @@ class TestBoundedRelation:
                 ],
                 dtype=np.int64,
             )
-            scan = _relation_scan(rows, k)
+            scan = relation_scan(rows, k)
             assert conditions_module._related(rows, k).tolist() == scan.tolist(), (rows, k)
             outcomes.extend(scan.tolist())
         assert 0.1 < sum(outcomes) / len(outcomes) < 0.9
 
     def test_key_overflow_refused(self):
-        param = FilterParameter.from_cutoff(4.0)
         with pytest.raises(ValueError, match="overflow"):
-            has_bounded_relation((2**61, 3), param)
-        assert has_bounded_relation((2**40, 3), param) is False
+            _related((2**61, 3), 2)
+        assert _related((2**40, 3), 2) is False
+        assert relation_scan([(2**40, 3)], 2).tolist() == [False]
 
     def test_wide_coefficient_box(self):
         # 19**7 coefficient vectors; with every |c_i| <= 9 < 10 a base-20
         # digit expansion is unique
-        param = FilterParameter.from_cutoff(100)  # coeff_bound 9
+        k = FilterParameter.from_cutoff(100).coeff_bound
+        assert k == 9
         powers = (1, 20, 400, 8000, 160000, 3200000, 64000000)
-        assert not has_bounded_relation(powers, param)
-        assert has_bounded_relation(powers[:-1] + (3,), param)  # 3*1 - 1*3 = 0
+        assert not _related(powers, k)
+        assert _related(powers[:-1] + (3,), k)  # 3*1 - 1*3 = 0
 
 
 class TestESet:
-    def test_membership_consistent_with_predicates(self, table_small):
-        rng = random.Random(44)
-        param = FilterParameter.from_cutoff(3.0)
-        for _ in range(200):
-            n = rng.randint(1, 3)
-            t = FormTuple(
-                tuple(rng.randint(1, 30) for _ in range(n)),
-                tuple(rng.randint(-4, 4) for _ in range(n)),
-            )
-            expected = not (
-                has_large_prime_power(t.bases, param, table_small)
-                or has_smooth_base(t.bases, param, table_small)
-                or has_bounded_relation(t.exps, param)
-            )
-            assert in_e_set(t, param, table_small) is expected
-
     def test_single_coordinate_count(self, table_small):
         bounds = Bounds((8,), (3,))
         count, density = count_e_set(bounds, default_cutoff(bounds), table_small)
@@ -215,10 +186,13 @@ class TestESet:
         param = FilterParameter.from_cutoff(3.0)
         bounds = Bounds((8, 9), (2, 2))
         count, _ = count_e_set(bounds, param, table_small)
+        all_exps = list(itertools.product(range(-2, 3), range(-2, 3)))
+        related = relation_scan(all_exps, param.coeff_bound).tolist()
         scan = 0
         for bases in itertools.product(range(1, 9), range(1, 10)):
-            for exps in itertools.product(range(-2, 3), range(-2, 3)):
-                scan += in_e_set(FormTuple(bases, exps), param, table_small)
+            if large_prime_power_scan(bases, 3.0) or has_smooth_base(bases, param, table_small):
+                continue
+            scan += related.count(False)
         assert count == scan
 
     def test_budget_guard(self, table_small):
@@ -237,7 +211,7 @@ class TestESet:
 
 class TestFilterEngine:
     def test_matches_scalar_predicates(self, table_small):
-        # the engine's base and exponent sets against the per-tuple predicates
+        # the engine's base and exponent sets against the per-tuple oracles
         rng = random.Random(55)
         for _ in range(40):
             n = rng.randint(1, 4)
@@ -252,7 +226,7 @@ class TestFilterEngine:
                 bounds, param, table_small, 10**8
             )
             all_bases = list(itertools.product(*(range(1, a + 1) for a in base_max)))
-            prime_power = [has_large_prime_power(b, param, table_small) for b in all_bases]
+            prime_power = [large_prime_power_scan(b, param.cutoff) for b in all_bases]
             expected_bases = [
                 b
                 for b, bad in zip(all_bases, prime_power)
@@ -261,7 +235,7 @@ class TestFilterEngine:
             all_exps = np.array(
                 list(itertools.product(*(range(-b, b + 1) for b in exp_max)))
             )
-            scan = _relation_scan(all_exps, param.coeff_bound)
+            scan = relation_scan(all_exps, param.coeff_bound)
             expected_exps = [tuple(e) for e in all_exps[~scan].tolist()]
             assert [tuple(b) for b in bases.tolist()] == expected_bases, (bounds, param)
             assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)

@@ -10,6 +10,7 @@ from logforms import (
     Bounds,
     BudgetError,
     CanonicalRational,
+    FactorTable,
     FilterParameter,
     FormTuple,
     Permutation,
@@ -24,7 +25,7 @@ from logforms import (
     run_census,
     verify_unique_representation,
 )
-from logforms.core import charge, deferred_factor_table
+from logforms.core import charge
 
 # cutoff 4 has coefficient bound 2, so even the pair closed form does work
 _PARAM = FilterParameter(4.0)
@@ -110,7 +111,7 @@ class TestFactorTable:
             build_factor_table(10**8 + 1)
 
     def test_deferred_table_sieves_on_first_use(self, sieves, table_small):
-        table = deferred_factor_table(300)
+        table = FactorTable(300)
         assert table.limit == 300 and sieves == []
         assert table.spf.tolist() == table_small.spf.tolist()
         assert table.gpf().tolist() == table_small.gpf().tolist()
@@ -118,9 +119,9 @@ class TestFactorTable:
 
     def test_deferred_table_checks_its_limit_at_once(self):
         with pytest.raises(BudgetError, match="exceeds memory budget"):
-            deferred_factor_table(10**8 + 1)
+            FactorTable(10**8 + 1)
         with pytest.raises(ValueError):
-            deferred_factor_table(0)
+            FactorTable(0)
 
 
 class TestBudgetMeter:

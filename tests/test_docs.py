@@ -1,0 +1,15 @@
+"""The README's library quick tour runs against the public API."""
+
+import re
+from pathlib import Path
+
+import logforms
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs():
+    section = _README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, str(_README), "exec"), {})
+    assert [name for name in logforms.__all__ if not hasattr(logforms, name)] == []

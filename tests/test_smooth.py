@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import large_prime_power_scan, relation_scan
 from logforms import (
     Bounds,
     BudgetError,
@@ -15,8 +16,6 @@ from logforms import (
     count_bounded_relation,
     count_large_prime_power,
     count_smooth_base,
-    has_bounded_relation,
-    has_large_prime_power,
     has_smooth_base,
     smooth_count,
 )
@@ -79,7 +78,7 @@ class TestCountLargePrimePower:
             param = FilterParameter.from_cutoff(rng.choice([2.0, 4.0, 9.0, 30.0]))
             bounds = Bounds(base_max, (1,) * n)
             scan = sum(
-                has_large_prime_power(bases, param, table_grid)
+                large_prime_power_scan(bases, param.cutoff)
                 for bases in itertools.product(*[range(1, a + 1) for a in base_max])
             )
             assert count_large_prime_power(bounds, param, table_grid) == scan
@@ -94,7 +93,7 @@ class TestCountLargePrimePower:
         param = FilterParameter.from_cutoff(cutoff)
         fast = count_large_prime_power(Bounds(base_max, (1, 1)), param, table_grid)
         scan = sum(
-            has_large_prime_power(bases, param, table_grid)
+            large_prime_power_scan(bases, cutoff)
             for bases in itertools.product(*[range(1, a + 1) for a in base_max])
         )
         assert fast == scan
@@ -159,25 +158,15 @@ class TestCountBoundedRelation:
             exp_max = (rng.randint(1, 7), rng.randint(1, 7))
             param = FilterParameter.from_cutoff(rng.choice([2.0, 3.0, 4.0, 8.0, 20.0]))
             bounds = Bounds((5, 5), exp_max)
-            scan = sum(
-                has_bounded_relation(exps, param)
-                for exps in itertools.product(
-                    *[range(-b, b + 1) for b in exp_max]
-                )
-            )
+            exps = list(itertools.product(*[range(-b, b + 1) for b in exp_max]))
+            scan = int(relation_scan(exps, param.coeff_bound).sum())
             assert count_bounded_relation(bounds, param) == scan
 
     def test_triple_scan_path(self):
-        # an exhaustive coefficient scan, independent of the relation engine
         bounds = Bounds((5, 5, 5), (2, 3, 2))
         param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
-        scan = sum(
-            any(
-                any(c) and sum(ci * bi for ci, bi in zip(c, exps)) == 0
-                for c in itertools.product(range(-2, 3), repeat=3)
-            )
-            for exps in itertools.product(range(-2, 3), range(-3, 4), range(-2, 3))
-        )
+        exps = list(itertools.product(range(-2, 3), range(-3, 4), range(-2, 3)))
+        scan = int(relation_scan(exps, 2).sum())
         assert count_bounded_relation(bounds, param) == scan
 
     def test_budget_guard(self):
