@@ -308,11 +308,12 @@ def verify_unique_representation(
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
-    bases, exps = _admissible_tuples(bounds, param, table, budget)
-    members = len(bases) * len(exps)
+    columns, clean, exps = _admissible_tuples(bounds, param, table, budget)
+    members = int(np.count_nonzero(clean)) * len(exps)
     layout = _key_layout(bounds, table)
     doing = f"uniqueness check would key {members} e-set members in {layout[0]} words each"
     charge(members * layout[0], budget, doing)
+    bases = np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1)
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys

@@ -100,12 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         parser.error(f"{flag} expects a comma-separated integer list, got {text!r}")
-    if not values:
-        parser.error(f"{flag} must list at least one value")
-    return values
 
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:

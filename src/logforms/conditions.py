@@ -25,6 +25,7 @@ is what lets the third filter close that uniqueness argument.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ __all__ = [
     "count_e_set",
 ]
 
-# Half sums per block of the relation engine, and rows per exponent-grid block.
+# Half sums per block of the relation engine, rows per exponent-grid block,
+# and base cells per block of the condition-1 grid.
 _BLOCK = 1 << 18
 
 
@@ -148,26 +150,23 @@ def _large_prime_power_grid(
     """Condition 1 on the product grid of the given base columns.
 
     ``bad[i_1, ..., i_n]`` is True iff the base tuple (columns[0][i_1], ...,
-    columns[n-1][i_n]) satisfies condition 1: for some prime p the
-    multiplicities of p in its bases sum to at least k_p.  Each prime adds
-    one broadcast sum of its per-column multiplicities, unless the largest
-    such sum stays below k_p.
+    columns[n-1][i_n]) satisfies condition 1: its product is a multiple of
+    p**k_p for some prime p.  One table over 0 .. prod(max column) marks those
+    multiples, and each cell reads the mark of its product; the products are
+    formed about ``_BLOCK`` cells at a time.  A product of 0 is never marked.
     """
-    bad = np.zeros([len(column) for column in columns], dtype=bool)
-    top = max(int(column.max(initial=0)) for column in columns)
+    tops = [int(column.max(initial=0)) for column in columns]
+    marked = np.zeros(math.prod(tops) + 1, dtype=bool)
     primes = table.primes()
-    for p in primes[primes <= top].tolist():
-        k = _min_bad_exponent(p, cutoff)
-        powers = [p]
-        while powers[-1] * p <= top:
-            powers.append(powers[-1] * p)
-        if len(columns) * len(powers) < k:
-            continue  # no base tuple can hold p that often
-        # a multiplicity sum is at most log2 of the grid size, so int8 holds it
-        divides = np.array(powers)[:, None]
-        mult = [(column % divides == 0).sum(axis=0, dtype=np.int8) for column in columns]
-        if sum(int(v.max(initial=0)) for v in mult) >= k:
-            bad |= sum(np.meshgrid(*mult, indexing="ij", sparse=True)) >= k
+    for p in primes[primes <= max(tops)].tolist():
+        q = p ** _min_bad_exponent(p, cutoff)
+        marked[q::q] = True
+    rest = functools.reduce(np.multiply.outer, columns[1:], np.ones((), dtype=np.int64))
+    step = max(1, _BLOCK // max(1, rest.size))  # a column may be empty
+    bad = np.empty([len(column) for column in columns], dtype=bool)
+    for start in range(0, len(columns[0]), step):
+        products = np.multiply.outer(columns[0][start : start + step], rest)
+        bad[start : start + step] = marked[products]
     return bad
 
 
@@ -185,14 +184,15 @@ def _admissible_exps(exp_max: Sequence[int], param: FilterParameter) -> np.ndarr
 
 def _admissible_tuples(
     bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The e-set of the box as (bases, exps): an (m, n) and a (q, n) array.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The e-set of the box as (columns, clean, exps).
 
     Conditions 1 and 2 touch only the bases and condition 3 only the
-    exponents, so the e-set is every row of ``bases`` (lexicographic) with
-    every row of ``exps`` (lexicographic).  A base passes condition 2 when its
-    greatest prime factor exceeds the cutoff (1 has none); condition 1 is then
-    tested on the grid of those bases.  Charges prod(A_i) + prod(2 B_i + 1).
+    exponents, so the e-set is every clean base tuple with every row of the
+    (q, n) array ``exps`` (lexicographic).  ``columns[i]`` holds the values of
+    base i passing condition 2, whose greatest prime factor exceeds the
+    cutoff (1 has none); ``clean`` is the boolean grid over those columns of
+    the tuples failing condition 1.  Charges prod(A_i) + prod(2 B_i + 1).
     """
     work = math.prod(bounds.base_max) + math.prod(2 * b + 1 for b in bounds.exp_max)
     charge(work, budget, f"e-set filters walk {work} base and exponent tuples")
@@ -200,9 +200,8 @@ def _admissible_tuples(
         raise ValueError("base bound exceeds factor table limit")
     gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
-    clean = np.nonzero(~_large_prime_power_grid(columns, param.cutoff, table))
-    bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
-    return bases, _admissible_exps(bounds.exp_max, param)
+    clean = ~_large_prime_power_grid(columns, param.cutoff, table)
+    return columns, clean, _admissible_exps(bounds.exp_max, param)
 
 
 def count_e_set(
@@ -216,8 +215,8 @@ def count_e_set(
 
     The budget is charged prod(A_i) + prod(2 B_i + 1), the tuples the filters visit.
     """
-    bases, exps = _admissible_tuples(bounds, param, table, budget)
-    count = len(bases) * len(exps)
+    _, clean, exps = _admissible_tuples(bounds, param, table, budget)
+    count = int(np.count_nonzero(clean)) * len(exps)
     denom = 2**bounds.n * math.prod(
         a * bm for a, bm in zip(bounds.base_max, bounds.exp_max)
     )

@@ -14,6 +14,7 @@ import logforms.conditions as conditions_module
 from logforms import (
     Bounds,
     BudgetError,
+    ConfigError,
     FilterParameter,
     FormTuple,
     Permutation,
@@ -33,9 +34,9 @@ from logforms import (
 
 def _unfiltered_box(bounds, param, table, budget):
     """Stand-in for the filter engine that lets every box tuple through."""
-    bases = list(itertools.product(*(range(1, a + 1) for a in bounds.base_max)))
+    columns = [np.arange(1, a + 1) for a in bounds.base_max]
     exps = list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)))
-    return np.array(bases, dtype=np.int64), np.array(exps, dtype=np.int64)
+    return columns, np.ones(bounds.base_max, dtype=bool), np.array(exps, dtype=np.int64)
 
 
 def _admissible_without(dropped):
@@ -49,13 +50,17 @@ def _admissible_without(dropped):
             for a in bounds.base_max
         ]
         bad = conditions_module._large_prime_power_grid(columns, param.cutoff, table)
-        clean = np.nonzero(np.ones_like(bad) if dropped == 1 else ~bad)
-        bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
+        clean = np.ones_like(bad) if dropped == 1 else ~bad
         if dropped == 3:
-            return bases, _unfiltered_box(bounds, param, table, budget)[1]
-        return bases, conditions_module._admissible_exps(bounds.exp_max, param)
+            return columns, clean, _unfiltered_box(bounds, param, table, budget)[2]
+        return columns, clean, conditions_module._admissible_exps(bounds.exp_max, param)
 
     return admissible
+
+
+def _base_rows(columns, clean):
+    """The clean base tuples of the grid over ``columns``, in lexicographic order."""
+    return np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1).tolist()
 
 
 def _grouping_violations(base_rows, exp_rows, table):
@@ -287,13 +292,15 @@ class TestVerifyUniqueRepresentation:
         bounds = Bounds((20, 20), (3, 3))
         param = FilterParameter.from_cutoff(2.0)
         admissible = _admissible_without(dropped)
-        bases, exps = admissible(bounds, param, table_small, 10**8)
+        columns, clean, exps = admissible(bounds, param, table_small, 10**8)
         if dropped is None:
             engine = conditions_module._admissible_tuples(bounds, param, table_small, 10**8)
-            assert [rows.tolist() for rows in engine] == [bases.tolist(), exps.tolist()]
+            assert [c.tolist() for c in engine[0]] == [c.tolist() for c in columns]
+            assert engine[1].tolist() == clean.tolist()
+            assert engine[2].tolist() == exps.tolist()
         monkeypatch.setattr(census_module, "_admissible_tuples", admissible)
         violations = verify_unique_representation(bounds, table_small, param=param)
-        expected = _grouping_violations(bases.tolist(), exps.tolist(), table_small)
+        expected = _grouping_violations(_base_rows(columns, clean), exps.tolist(), table_small)
         assert {v.value for v in violations} == expected
         assert len(violations) == count
         for v in violations:
@@ -439,6 +446,15 @@ class TestConvergenceRun:
             base,
             Bounds((8, 12), (4, 6)),
         ]
+
+    @pytest.mark.parametrize(
+        "shape,options",
+        [("equal", {}), ("custom", {"factors": 2}), ("spiral", {"factors": 2})],
+        ids=["equal-without-factors", "custom-without-base", "unknown-shape"],
+    )
+    def test_incomplete_shape_is_rejected(self, table_small, shape, options):
+        with pytest.raises(ConfigError):
+            convergence_run((3, 5), shape, table=table_small, **options)
 
     def test_budget_truncates_run(self, table_small):
         result = convergence_run(

@@ -110,6 +110,9 @@ class TestParseArgs:
             ["converge", "--scales", "3,5", "--shape", "custom"],  # no base box
             ["no-such-command"],
             ["e-set", "-A", "50,60", "-B", "4,5", "--C", "inf"],  # cutoff not finite
+            ["converge", "--scales", "0,3", "-n", "2"],  # scale below 1
+            ["converge", "--scales", "3,5"],  # equal shape without -n or -A
+            ["converge", "--scales", "3,5", "--shape", "separated"],  # no -n
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -222,7 +222,7 @@ class TestFilterEngine:
             exp_max = tuple(rng.randint(1, 4 if n < 4 else 2) for _ in range(n))
             bounds = Bounds(base_max, exp_max)
             param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, 100]))
-            bases, exps = conditions_module._admissible_tuples(
+            columns, clean, exps = conditions_module._admissible_tuples(
                 bounds, param, table_small, 10**8
             )
             all_bases = list(itertools.product(*(range(1, a + 1) for a in base_max)))
@@ -237,6 +237,37 @@ class TestFilterEngine:
             )
             scan = relation_scan(all_exps, param.coeff_bound)
             expected_exps = [tuple(e) for e in all_exps[~scan].tolist()]
-            assert [tuple(b) for b in bases.tolist()] == expected_bases, (bounds, param)
+            bases = [
+                tuple(int(column[i]) for column, i in zip(columns, cell))
+                for cell in zip(*np.nonzero(clean))
+            ]
+            assert bases == expected_bases, (bounds, param)
             assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)
             assert count_large_prime_power(bounds, param, table_small) == sum(prime_power)
+
+    def test_grid_blocks_and_edge_columns(self, table_small, monkeypatch):
+        # blocks of 7 cells, so most grids below span several of them
+        monkeypatch.setattr(conditions_module, "_BLOCK", 7)
+        rng = random.Random(77)
+        grids = [
+            [np.array(sorted(rng.sample(range(1, 61), rng.randint(1, 9)))) for _ in range(n)]
+            for n in (1, 2, 3, 4)
+            for _ in range(8)
+        ]
+        empty = np.array([], dtype=np.int64)
+        grids += [
+            [np.array([4, 8, 9]), empty, np.array([2, 3])],
+            [empty, np.array([4, 8, 9])],
+            [np.arange(60)],  # the pair path's column, from 0
+            [np.array([0, 2, 12, 27]), np.arange(1, 20)],
+        ]
+        for columns in grids:
+            for cutoff in (2, 4.5, 9, 30):
+                bad = conditions_module._large_prime_power_grid(columns, cutoff, table_small)
+                # a product of 0 is never marked
+                expected = [
+                    0 not in cell and large_prime_power_scan(cell, cutoff)
+                    for cell in itertools.product(*(column.tolist() for column in columns))
+                ]
+                assert bad.shape == tuple(len(column) for column in columns)
+                assert bad.ravel().tolist() == expected, (columns, cutoff)
