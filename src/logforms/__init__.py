@@ -11,13 +11,11 @@ block-decomposition main term the exact counts converge to.
 from .core import (
     Bounds,
     BudgetError,
-    CanonicalRational,
     ConfigError,
     FactorTable,
     FormTuple,
     Permutation,
     build_factor_table,
-    canonical_form,
     factorize,
 )
 from .conditions import (
@@ -62,13 +60,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Bounds",
     "BudgetError",
-    "CanonicalRational",
     "ConfigError",
     "FactorTable",
     "FormTuple",
     "Permutation",
     "build_factor_table",
-    "canonical_form",
     "factorize",
     "FilterParameter",
     "count_e_set",

@@ -15,9 +15,9 @@ one layer at a time as T_k = dedup(T_{k-1} + S_k) with numpy sorts.  Keys
 wider than one word are ordered by a linear 64-bit fingerprint (Karp-Rabin
 style), and every run of equal fingerprints is certified on the exact keys,
 so a collision costs time, never a wrong count.  A second, deliberately
-independent strategy ("sorted") re-derives each tuple's full prime
-factorization and deduplicates by sorting the canonical forms; the two must
-agree exactly and the test suite holds them to that.
+independent strategy ("sorted") reduces every box tuple to its exact fraction
+and counts the distinct ones; it reads no factor table, and the test suite
+holds the two to exact agreement.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from .core import (
     DEFAULT_BUDGET,
     Bounds,
     BudgetError,
-    CanonicalRational,
     ConfigError,
     FactorTable,
     FormTuple,
     Permutation,
-    canonical_form,
     charge,
     np,
 )
@@ -80,9 +78,10 @@ class CensusReport:
 
 @dataclass(frozen=True)
 class OrbitViolation:
-    """Two filtered representatives of one value not related by reordering."""
+    """Two filtered representatives of one value not related by reordering;
+    ``value`` is that value as an exact fraction."""
 
-    value: CanonicalRational
+    value: Fraction
     first: FormTuple
     second: FormTuple
 
@@ -244,19 +243,26 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     return count
 
 
-def _count_sorted(bounds: Bounds, table: FactorTable) -> int:
-    """Independent census route: sort every tuple's exact canonical form and
-    count runs.  Shares no dedup machinery with the key path."""
-    forms: list[tuple[tuple[int, int], ...]] = []
+def _exact_value(bases: tuple[int, ...], exps: tuple[int, ...]) -> tuple[int, int]:
+    """a_1**b_1 * ... * a_n**b_n as its reduced (numerator, denominator)."""
+    num = math.prod(a**b for a, b in zip(bases, exps) if b > 0)
+    den = math.prod(a**-b for a, b in zip(bases, exps) if b < 0)
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def _count_sorted(bounds: Bounds) -> int:
+    """Independent census route: reduce every box tuple to its exact fraction
+    and count the distinct ones.  Shares no table or dedup machinery with the
+    key path."""
     base_ranges = [range(1, a + 1) for a in bounds.base_max]
     exp_ranges = [range(-b, b + 1) for b in bounds.exp_max]
-    for bases in itertools.product(*base_ranges):
-        for exps in itertools.product(*exp_ranges):
-            form = canonical_form(FormTuple(bases, exps), table)
-            forms.append(form.factors)
-    forms.sort()
-    return sum(
-        1 for k, form in enumerate(forms) if k == 0 or form != forms[k - 1]
+    return len(
+        {
+            _exact_value(bases, exps)
+            for bases in itertools.product(*base_ranges)
+            for exps in itertools.product(*exp_ranges)
+        }
     )
 
 
@@ -271,17 +277,16 @@ def count_distinct_rationals(
 
     ``strategy="set"`` builds the value set layer by layer on exact keys, and
     ``budget`` bounds the candidate values it combines.  ``strategy="sorted"``
-    is the independent sort-and-scan route over every box tuple, and
-    ``budget`` bounds the tuple space it walks.
+    is the independent route over every box tuple's exact fraction, reads no
+    factor table, and ``budget`` bounds the tuple space it walks.
     """
-    table = _usable_table(table, max(bounds.base_max))
     if strategy == "set":
-        return _count_layered(bounds, table, budget)
+        return _count_layered(bounds, _usable_table(table, max(bounds.base_max)), budget)
     if strategy != "sorted":
         raise ValueError(f"unknown strategy {strategy!r}")
     space = bounds.tuple_space()
     charge(space, budget, f"census oracle would walk {space} box tuples")
-    return _count_sorted(bounds, table)
+    return _count_sorted(bounds)
 
 
 def verify_unique_representation(
@@ -342,7 +347,8 @@ def verify_unique_representation(
             FormTuple(tuple(bases[b].tolist()), tuple(exps[e].tolist()))
             for b, e in (divmod(int(order[k]), len(exps)) for k in (start, change))
         )
-        violations.append(OrbitViolation(canonical_form(first, table), first, second))
+        value = Fraction(*_exact_value(first.bases, first.exps))
+        violations.append(OrbitViolation(value, first, second))
     return violations
 
 

@@ -257,7 +257,7 @@ def _execute(config: RunConfig):
         e_count = count_e_set(bounds, param, table, budget=config.budget)[0]
         rows = [
             {
-                "value": str(v.value.value()),
+                "value": str(v.value),
                 "first_bases": list(v.first.bases),
                 "first_exps": list(v.first.exps),
                 "second_bases": list(v.second.bases),
@@ -354,8 +354,12 @@ def run(config: RunConfig) -> int:
     else:
         text = _render_csv(rows, fields)
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.output_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if violated else 0

@@ -118,7 +118,7 @@ def _related(exps: np.ndarray, k: int) -> np.ndarray:
     step = max(1, _BLOCK // (left_grid.shape[1] + right_grid.shape[1]))
     top = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
     if min(step, len(exps)) * (2 * k * n * top + 1) >= 2**63:
-        raise ValueError(f"exponents up to {top} overflow the int64 relation keys")
+        raise ConfigError(f"exponents up to {top} overflow the int64 relation keys")
     todo = np.flatnonzero(~related)
     for block in np.split(todo, range(step, todo.size, step)):
         left, right = exps[block, :h] @ left_grid, exps[block, h:] @ right_grid

@@ -1,14 +1,9 @@
-"""Factorization infrastructure and canonical forms for products of integer powers.
+"""Factorization infrastructure, box types and the resource guards.
 
 A form tuple pairs bases (a_1, ..., a_n) with signed exponents (b_1, ..., b_n)
-and represents the positive rational a_1**b_1 * ... * a_n**b_n.  Two tuples
-represent the same rational exactly when their prime/exponent vectors agree,
-so the canonical form -- the sorted tuple of (prime, nonzero exponent) pairs --
-doubles as the deduplication key for the exact enumeration in
-:mod:`logforms.census`.
-
-Exponent arithmetic uses plain Python integers, which cannot overflow, so no
-width guard is needed anywhere in this module.
+and represents the positive rational a_1**b_1 * ... * a_n**b_n.  The factor
+table gives each base its prime factorization; the census and the filters in
+the other modules build their exact keys and masks from it.
 
 numpy is imported lazily: ``np`` below is the one handle the package's modules
 use, and numpy's own import runs on the first attribute read through it, so a
@@ -22,7 +17,6 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "BudgetError",
@@ -31,12 +25,10 @@ __all__ = [
     "charge",
     "Bounds",
     "FormTuple",
-    "CanonicalRational",
     "Permutation",
     "FactorTable",
     "build_factor_table",
     "factorize",
-    "canonical_form",
 ]
 
 
@@ -133,33 +125,6 @@ class FormTuple:
             raise ValueError("form tuple needs at least one coordinate")
         if any(a < 1 for a in self.bases):
             raise ValueError("every base must be a positive integer")
-
-
-@dataclass(frozen=True)
-class CanonicalRational:
-    """A positive rational as its sorted tuple of (prime, nonzero exponent) pairs.
-
-    The empty tuple is the rational 1.  Equality of canonical forms is exactly
-    equality of the represented rationals.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple((int(p), int(e)) for p, e in self.factors))
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            if e == 0:
-                raise ValueError("zero exponents must be dropped")
-            last = p
-
-    def value(self) -> Fraction:
-        out = Fraction(1)
-        for p, e in self.factors:
-            out *= Fraction(p) ** e
-        return out
 
 
 @dataclass(frozen=True)
@@ -276,19 +241,3 @@ def factorize(m: int, table: FactorTable) -> tuple[tuple[int, int], ...]:
             e += 1
         out.append((p, e))
     return tuple(out)
-
-
-def canonical_form(t: FormTuple, table: FactorTable) -> CanonicalRational:
-    """Canonical form of the rational represented by ``t``.
-
-    Exponents of each base's primes are scaled by the base's signed exponent
-    and accumulated; primes whose net exponent is zero are dropped.
-    """
-    acc: dict[int, int] = {}
-    for a, b in zip(t.bases, t.exps):
-        if a == 1 or b == 0:
-            continue
-        for p, e in factorize(a, table):
-            acc[p] = acc.get(p, 0) + b * e
-    factors = tuple((p, acc[p]) for p in sorted(acc) if acc[p] != 0)
-    return CanonicalRational(factors)

@@ -16,10 +16,8 @@ from logforms import (
     BudgetError,
     ConfigError,
     FilterParameter,
-    FormTuple,
     Permutation,
     build_factor_table,
-    canonical_form,
     convergence_run,
     count_distinct_rationals,
     count_e_set,
@@ -63,13 +61,18 @@ def _base_rows(columns, clean):
     return np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1).tolist()
 
 
-def _grouping_violations(base_rows, exp_rows, table):
+def _fraction(bases, exps):
+    """The exact value a_1**b_1 * ... * a_n**b_n."""
+    return math.prod((Fraction(a) ** b for a, b in zip(bases, exps)), start=Fraction(1))
+
+
+def _grouping_violations(base_rows, exp_rows):
     """The values shared by two orbits among every base row with every
-    exponent row, by grouping canonical forms in a dict."""
+    exponent row, by grouping their fractions in a dict."""
     groups = {}
     for bases in base_rows:
         for exps in exp_rows:
-            value = canonical_form(FormTuple(bases, exps), table)
+            value = _fraction(bases, exps)
             groups.setdefault(value, set()).add(tuple(sorted(zip(bases, exps))))
     return {value for value, orbits in groups.items() if len(orbits) > 1}
 
@@ -118,6 +121,16 @@ class TestCountDistinctRationals:
             by_set = count_distinct_rationals(bounds, table_small, strategy="set")
             by_sort = count_distinct_rationals(bounds, table_small, strategy="sorted")
             assert by_set == by_sort
+
+    @pytest.mark.parametrize(
+        "base_max,exp_max", [((4, 2), (2, 2)), ((8, 4, 2), (1, 2, 3)), ((9, 3), (2, 4))]
+    )
+    def test_oracle_reads_no_factor_table(self, sieves, base_max, exp_max):
+        # every box holds tuples such as 4**1 * 2**-2 whose product collapses to 1
+        bounds = Bounds(base_max, exp_max)
+        by_sort = count_distinct_rationals(bounds, strategy="sorted")
+        assert sieves == []
+        assert by_sort == count_distinct_rationals(bounds, strategy="set")
 
     @pytest.mark.parametrize(
         "base_max,exp_max,words",
@@ -247,15 +260,10 @@ class TestVerifyUniqueRepresentation:
         )
         assert violations
         seen = violations[0]
-        first_value = math.prod(
-            (Fraction(a) ** b for a, b in zip(seen.first.bases, seen.first.exps)),
-            start=Fraction(1),
-        )
-        second_value = math.prod(
-            (Fraction(a) ** b for a, b in zip(seen.second.bases, seen.second.exps)),
-            start=Fraction(1),
-        )
-        assert first_value == second_value == seen.value.value()
+        assert isinstance(seen.value, Fraction)
+        first_value = _fraction(seen.first.bases, seen.first.exps)
+        second_value = _fraction(seen.second.bases, seen.second.exps)
+        assert first_value == second_value == seen.value
         assert not _same_orbit(seen.first, seen.second)
 
     def test_violations_match_grouping_oracle(self, table_small, monkeypatch):
@@ -271,15 +279,14 @@ class TestVerifyUniqueRepresentation:
             expected = _grouping_violations(
                 itertools.product(*(range(1, a + 1) for a in bounds.base_max)),
                 list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))),
-                table_small,
             )
             reported = [v.value for v in violations]
             assert len(reported) == len(set(reported))
             assert set(reported) == expected, bounds
             found += len(expected)
             for v in violations:
-                assert canonical_form(v.first, table_small) == v.value
-                assert canonical_form(v.second, table_small) == v.value
+                assert _fraction(v.first.bases, v.first.exps) == v.value
+                assert _fraction(v.second.bases, v.second.exps) == v.value
                 assert not _same_orbit(v.first, v.second)
         assert found > 100
 
@@ -300,7 +307,7 @@ class TestVerifyUniqueRepresentation:
             assert engine[2].tolist() == exps.tolist()
         monkeypatch.setattr(census_module, "_admissible_tuples", admissible)
         violations = verify_unique_representation(bounds, table_small, param=param)
-        expected = _grouping_violations(_base_rows(columns, clean), exps.tolist(), table_small)
+        expected = _grouping_violations(_base_rows(columns, clean), exps.tolist())
         assert {v.value for v in violations} == expected
         assert len(violations) == count
         for v in violations:

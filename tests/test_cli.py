@@ -4,13 +4,13 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import logforms.cli as cli_module
 from logforms import (
     Bounds,
-    CanonicalRational,
     FilterParameter,
     FormTuple,
     count_e_set,
@@ -266,7 +266,7 @@ class TestExitCodes:
 
     def test_verify_violation_returns_one(self, capsys, monkeypatch):
         fake = OrbitViolation(
-            CanonicalRational(((2, 1), (3, 1))),
+            Fraction(6),
             FormTuple((2, 3), (1, 1)),
             FormTuple((6, 1), (1, 1)),
         )
@@ -282,6 +282,25 @@ class TestExitCodes:
         assert row["value"] == "6"
         assert row["first_bases"] == [2, 3]
         assert row["second_bases"] == [6, 1]
+
+    def test_relation_key_overflow_returns_two(self, capsys):
+        argv = ["e-set", "-A", "10", "-B", "50000000000000", "--C", "20",
+                "--budget", "1000000000000000"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
+    def test_unwritable_out_returns_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code = main(["census", "-A", "8", "-B", "2", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert not path.exists()
 
     def test_budget_exhaustion_returns_two(self, capsys):
         code = main(["census", "-A", "100,100", "-B", "5,5", "--budget", "10"])

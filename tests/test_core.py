@@ -1,21 +1,18 @@
-"""Factor table, canonical forms, permutations, the budget meter and the lazy numpy handle."""
+"""Factor table, permutations, the budget meter and the lazy numpy handle."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from logforms import (
     Bounds,
     BudgetError,
-    CanonicalRational,
     FactorTable,
     FilterParameter,
     FormTuple,
     Permutation,
     build_factor_table,
-    canonical_form,
     convergence_run,
     count_bounded_relation,
     count_distinct_rationals,
@@ -167,50 +164,6 @@ class TestFactorize:
             factorize(0, table_small)
         with pytest.raises(ValueError):
             factorize(table_small.limit + 1, table_small)
-
-
-class TestCanonicalRational:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalRational(((3, 1), (2, 1)))  # wrong order
-        with pytest.raises(ValueError):
-            CanonicalRational(((2, 0),))  # zero exponent
-
-    def test_value_and_reciprocal(self):
-        form = CanonicalRational(((2, -1), (3, 2)))
-        assert form.value() == Fraction(9, 2)
-        assert CanonicalRational(((2, 1), (3, -2))).value() == Fraction(2, 9)
-        assert CanonicalRational(()).value() == 1
-
-    def test_canonical_form_collapses_to_one(self, table_small):
-        one = canonical_form(FormTuple((4, 2), (1, -2)), table_small)
-        assert one.factors == ()
-
-    def test_matches_fraction_arithmetic(self, table_small):
-        rng = random.Random(303)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            bases = tuple(rng.randint(1, 50) for _ in range(n))
-            exps = tuple(rng.randint(-4, 4) for _ in range(n))
-            t = FormTuple(bases, exps)
-            expected = math.prod(
-                (Fraction(a) ** b for a, b in zip(bases, exps)), start=Fraction(1)
-            )
-            assert canonical_form(t, table_small).value() == expected
-
-    def test_factors_separate_values(self, table_small):
-        rng = random.Random(404)
-        for _ in range(200):
-            t1 = FormTuple(
-                tuple(rng.randint(1, 40) for _ in range(2)),
-                tuple(rng.randint(-3, 3) for _ in range(2)),
-            )
-            t2 = FormTuple(
-                tuple(rng.randint(1, 40) for _ in range(2)),
-                tuple(rng.randint(-3, 3) for _ in range(2)),
-            )
-            f1, f2 = canonical_form(t1, table_small), canonical_form(t2, table_small)
-            assert (f1.factors == f2.factors) == (f1.value() == f2.value())
 
 
 class TestPermutation:
