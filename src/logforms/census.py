@@ -306,8 +306,8 @@ def verify_unique_representation(
     by the run's first member and its first member of another orbit.
     Violations come in key order; the expected result is an empty list.
 
-    The budget is charged prod(A_i) + prod(2 B_i + 1) for the filters, then
-    the value words of the filtered members (members times key words) before
+    The budget is charged prod(A_i) + prod(2 B_i + 1) and the half sums of
+    the filters, then the value words of the filtered members (members times key words) before
     any key is formed.
     """
     table = _usable_table(table, max(bounds.base_max))

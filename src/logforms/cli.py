@@ -5,9 +5,14 @@ Subcommands
 census          exact count of distinct power products in one box vs the main term
 e-set           size and density of the filtered representative set
 lemmas          exact per-condition counts against their theoretical envelopes
-asymptotic      main term and leading-term brackets for one box
 verify-theorem  uniqueness-of-representation check on the filtered set
+asymptotic      main term and leading-term brackets for one box
 converge        census sweep along a scale sequence (equal/separated/custom shapes)
+
+Each takes only the flags it reads.  The first four take -A and -B (required),
+--C, --budget, --format and --out; asymptotic drops --C and --budget, since the
+main term reads no cutoff and charges nothing.  converge adds --scales, --shape
+and -n: custom scales the -A/-B box, equal and separated take -n instead.
 
 Reports are JSON by default: {"config": ..., "results": ..., "metadata":
 {"elapsed_ms", "version"}}.  Floats are normalized to 12 significant digits
@@ -26,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, FactorTable
@@ -42,12 +47,12 @@ _CUTOFF_COMMANDS = {"e-set", "lemmas", "verify-theorem"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: one command plus every knob it may read."""
+    """Validated invocation: one command plus every knob it reads."""
 
     command: str
     bounds: Bounds | None
     param: FilterParameter | None
-    budget: int
+    budget: int | None
     output_path: str | None
     format: str
     scales: tuple[int, ...] | None
@@ -56,45 +61,45 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-A", dest="bases", metavar="LIST",
-                        help="comma-separated base bounds, e.g. 50,60")
-    common.add_argument("-B", dest="exps", metavar="LIST",
-                        help="comma-separated exponent bounds, e.g. 4,5")
-    common.add_argument("-n", dest="factors", type=int, metavar="N",
-                        help="number of factors (cross-checked against -A/-B)")
-    common.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
-                        help="filter cutoff override (>= 2); default is min(B_i, ln A_i)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
-                        help="work budget (default 1e8), charged before each stage: "
-                             "census candidate values, filtered base plus exponent "
-                             "tuples, e-set key words, lemma base and exponent tuples")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", dest="output_path", metavar="PATH",
-                        help="write the report here instead of stdout")
-
     parser = argparse.ArgumentParser(
         prog="logforms",
         description="Exact census and asymptotic checks for distinct rationals "
                     "built from bounded integer powers.",
     )
+    parser.set_defaults(factors=None, cutoff=None, budget=None, shape=None)  # unset flags
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("census", parents=[common],
-                   help="count distinct products in one box")
-    sub.add_parser("e-set", parents=[common],
-                   help="count the filtered representative set")
-    sub.add_parser("lemmas", parents=[common],
-                   help="exact condition counts vs their envelopes")
-    sub.add_parser("asymptotic", parents=[common],
-                   help="main term and leading-term brackets")
-    sub.add_parser("verify-theorem", parents=[common],
-                   help="uniqueness-of-representation check")
-    converge = sub.add_parser("converge", parents=[common],
-                              help="census sweep along a scale sequence")
-    converge.add_argument("--scales", metavar="LIST",
-                          help="comma-separated scale values, e.g. 10,20,40")
-    converge.add_argument("--shape", choices=("equal", "separated", "custom"),
-                          default="equal")
+    for name, what in (
+        ("census", "count distinct products in one box"),
+        ("e-set", "count the filtered representative set"),
+        ("lemmas", "exact condition counts vs their envelopes"),
+        ("asymptotic", "main term and leading-term brackets"),
+        ("verify-theorem", "uniqueness-of-representation check"),
+        ("converge", "census sweep along a scale sequence"),
+    ):
+        command = sub.add_parser(name, help=what)
+        boxed = name != "converge"
+        if not boxed:
+            command.add_argument("--scales", required=True, metavar="LIST",
+                                 help="comma-separated scale values, e.g. 10,20,40")
+            command.add_argument("--shape", choices=("equal", "separated", "custom"),
+                                 default="equal", help="custom scales -A/-B; the others take -n")
+            command.add_argument("-n", dest="factors", type=int, metavar="N",
+                                 help="number of factors of an equal or separated box")
+        command.add_argument("-A", dest="bases", required=boxed, metavar="LIST",
+                             help="comma-separated base bounds, e.g. 50,60")
+        command.add_argument("-B", dest="exps", required=boxed, metavar="LIST",
+                             help="comma-separated exponent bounds, e.g. 4,5")
+        if name != "asymptotic":  # the main term reads no cutoff and is not charged
+            command.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
+                                 help="filter cutoff override (>= 2); "
+                                      "default is min(B_i, ln A_i)")
+            command.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+                                 help="work budget (default 1e8), charged before each "
+                                      "stage: census values, filter tuples, condition-3 "
+                                      "half sums, e-set key words, lemma tuples")
+        command.add_argument("--format", choices=("json", "csv"), default="json")
+        command.add_argument("--out", dest="output_path", metavar="PATH",
+                             help="write the report here instead of stdout")
     return parser
 
 
@@ -110,55 +115,40 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
-    bounds = None
-    if ns.bases is not None or ns.exps is not None:
-        if ns.bases is None or ns.exps is None:
-            parser.error("-A and -B must be given together")
-        base_max = _int_list(ns.bases, "-A", parser)
-        exp_max = _int_list(ns.exps, "-B", parser)
-        if len(base_max) != len(exp_max):
-            parser.error(f"-A lists {len(base_max)} bounds but -B lists {len(exp_max)}")
-        if ns.factors is not None and ns.factors != len(base_max):
-            parser.error(f"-n {ns.factors} disagrees with the {len(base_max)} bounds given")
-        try:
-            bounds = Bounds(base_max, exp_max)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    if ns.budget < 1:
-        parser.error("--budget must be >= 1")
-
     scales = None
-    shape = None
     if ns.command == "converge":
-        if ns.scales is None:
-            parser.error("converge requires --scales")
+        wanted = ("-A", "-B") if ns.shape == "custom" else ("-n",)
+        for flag, value in (("-A", ns.bases), ("-B", ns.exps), ("-n", ns.factors)):
+            if (value is None) == (flag in wanted):
+                verb = "requires" if flag in wanted else "takes no"
+                parser.error(f"converge --shape {ns.shape} {verb} {flag}")
         scales = _int_list(ns.scales, "--scales", parser)
         if any(s < 1 for s in scales):
             parser.error("--scales values must be >= 1")
-        shape = ns.shape
-        if shape == "custom" and bounds is None:
-            parser.error("converge --shape custom requires -A and -B base bounds")
-        if shape in ("equal", "separated") and ns.factors is None and bounds is None:
-            parser.error(f"converge --shape {shape} requires -n")
-    elif bounds is None:
-        parser.error(f"{ns.command} requires -A and -B")
+        if ns.factors is not None and ns.factors < 1:
+            parser.error("-n must be >= 1")
 
-    # --C, else the default rule; commands built around the filter need one, and
-    # converge, whose boxes each have their own default, takes only --C
+    bounds = None
+    if ns.bases is not None:  # -B comes with -A, by argparse or the converge rule
+        try:
+            bounds = Bounds(_int_list(ns.bases, "-A", parser), _int_list(ns.exps, "-B", parser))
+        except ValueError as exc:
+            parser.error(str(exc))
+
+    if ns.budget is not None and ns.budget < 1:
+        parser.error("--budget must be >= 1")
+
+    # --C, else the default rule; the filter commands need one, converge (whose
+    # boxes each have their own default) takes only --C, and asymptotic reads none
     param = None
     try:
         if ns.cutoff is not None:
             param = FilterParameter.from_cutoff(ns.cutoff)
-        elif bounds is not None and ns.command != "converge":
+        elif ns.command not in ("asymptotic", "converge"):
             param = default_cutoff(bounds)
     except ConfigError as exc:
         if ns.cutoff is not None or ns.command in _CUTOFF_COMMANDS:
             parser.error(str(exc))
-
-    factors = ns.factors
-    if factors is None and bounds is not None:
-        factors = bounds.n
 
     return RunConfig(
         command=ns.command,
@@ -168,8 +158,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         output_path=ns.output_path,
         format=ns.format,
         scales=scales,
-        shape=shape,
-        factors=factors,
+        shape=ns.shape,
+        factors=ns.factors if bounds is None else bounds.n,
     )
 
 
@@ -232,17 +222,10 @@ def _execute(config: RunConfig):
         return results, [results], list(results), False
 
     if config.command == "lemmas":
-        rows = []
-        for condition in (1, 2, 3):
-            report = check_condition(condition, bounds, param, table, budget=config.budget)
-            rows.append(
-                {
-                    "condition": report.condition,
-                    "exact_count": report.exact_count,
-                    "bound_value": report.bound_value,
-                    "ratio": report.ratio,
-                }
-            )
+        rows = [
+            asdict(check_condition(condition, bounds, param, table, budget=config.budget))
+            for condition in (1, 2, 3)
+        ]
         results = {
             "cutoff": param.cutoff,
             "coeff_bound": param.coeff_bound,

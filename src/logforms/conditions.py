@@ -98,6 +98,15 @@ def has_smooth_base(
     return any(all(p <= c for p, _ in factorize(a, table)) for a in bases)
 
 
+def _search_plan(n: int, k: int, top: int, rows: int) -> tuple[int, int]:
+    """(half sums per searched row, rows per block) of the search; refuses key overflow."""
+    per_row = (2 * k + 1) ** ((n + 1) // 2) + (2 * k + 1) ** (n // 2)
+    step = max(1, _BLOCK // per_row)
+    if min(step, rows) * (2 * k * n * top + 1) >= 2**63:
+        raise ConfigError(f"exponents up to {top} overflow the int64 relation keys")
+    return per_row, step
+
+
 def _related(exps: np.ndarray, k: int) -> np.ndarray:
     """Condition 3 on every row of a (q, n) int64 array, as a boolean mask.
 
@@ -115,10 +124,8 @@ def _related(exps: np.ndarray, k: int) -> np.ndarray:
         np.array(list(itertools.product(range(-k, k + 1), repeat=m)), dtype=np.int64).T
         for m in (h, n - h)
     )
-    step = max(1, _BLOCK // (left_grid.shape[1] + right_grid.shape[1]))
     top = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
-    if min(step, len(exps)) * (2 * k * n * top + 1) >= 2**63:
-        raise ConfigError(f"exponents up to {top} overflow the int64 relation keys")
+    step = _search_plan(n, k, top, len(exps))[1]
     todo = np.flatnonzero(~related)
     for block in np.split(todo, range(step, todo.size, step)):
         left, right = exps[block, :h] @ left_grid, exps[block, h:] @ right_grid
@@ -170,13 +177,21 @@ def _large_prime_power_grid(
     return bad
 
 
-def _admissible_exps(exp_max: Sequence[int], param: FilterParameter) -> np.ndarray:
+def _admissible_exps(
+    exp_max: Sequence[int], param: FilterParameter, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
     """The exponent tuples in the box failing condition 3, as a (q, n) array in
-    lexicographic order, tested in mixed-radix blocks of ``_BLOCK`` rows."""
+    lexicographic order, tested in mixed-radix blocks of ``_BLOCK`` rows.  First
+    charged the half sums of the rows searched, those with no zero and distinct
+    magnitudes: 2**n * prod(B_(j) - j + 1) over the ascending bounds B_(j)."""
     shape = [2 * b + 1 for b in exp_max]
+    space = math.prod(shape)
+    per_row = _search_plan(len(shape), param.coeff_bound, max(exp_max), space)[0]
+    work = per_row * 2 ** len(shape) * math.prod(b - j for j, b in enumerate(sorted(exp_max)))
+    charge(work, budget, f"condition-3 search would form {work} half sums")
     kept = []
-    for start in range(0, math.prod(shape), _BLOCK):
-        index = np.arange(start, min(start + _BLOCK, math.prod(shape)))
+    for start in range(0, space, _BLOCK):
+        index = np.arange(start, min(start + _BLOCK, space))
         rows = np.stack(np.unravel_index(index, shape), axis=1) - np.array(exp_max)
         kept.append(rows[~_related(rows, param.coeff_bound)])
     return np.concatenate(kept)
@@ -192,16 +207,17 @@ def _admissible_tuples(
     (q, n) array ``exps`` (lexicographic).  ``columns[i]`` holds the values of
     base i passing condition 2, whose greatest prime factor exceeds the
     cutoff (1 has none); ``clean`` is the boolean grid over those columns of
-    the tuples failing condition 1.  Charges prod(A_i) + prod(2 B_i + 1).
+    the tuples failing condition 1.  Charges prod(A_i) + prod(2 B_i + 1), then half sums.
     """
     work = math.prod(bounds.base_max) + math.prod(2 * b + 1 for b in bounds.exp_max)
     charge(work, budget, f"e-set filters walk {work} base and exponent tuples")
+    exps = _admissible_exps(bounds.exp_max, param, budget)  # charged before the sieve
     if max(bounds.base_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
     gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
     clean = ~_large_prime_power_grid(columns, param.cutoff, table)
-    return columns, clean, _admissible_exps(bounds.exp_max, param)
+    return columns, clean, exps
 
 
 def count_e_set(
@@ -213,7 +229,7 @@ def count_e_set(
 ) -> tuple[int, float]:
     """Exact size of the e-set in the box, with its density against 2**n * prod(A_i B_i).
 
-    The budget is charged prod(A_i) + prod(2 B_i + 1), the tuples the filters visit.
+    Charged prod(A_i) + prod(2 B_i + 1), the tuples the filters visit, then the half sums.
     """
     _, clean, exps = _admissible_tuples(bounds, param, table, budget)
     count = int(np.count_nonzero(clean)) * len(exps)

@@ -144,7 +144,7 @@ def count_bounded_relation(
     disjoint families, so the count closes to a double sum of floor divisions,
     charged its coeff_bound**2 coefficient pairs.  Every other box counts the
     complement of the admissible exponent tuples, found by the relation engine
-    and charged prod(2 B_i + 1).
+    and charged prod(2 B_i + 1), then the half sums of its search.
     """
     k = param.coeff_bound
     b_max = bounds.exp_max
@@ -161,7 +161,7 @@ def count_bounded_relation(
         return zeros + nonzero
     space = math.prod(2 * b + 1 for b in b_max)
     charge(space, budget, f"condition-3 count would walk {space} exponent tuples")
-    return space - len(_admissible_exps(b_max, param))
+    return space - len(_admissible_exps(b_max, param, budget))
 
 
 def condition_bound(condition: int, bounds: Bounds, param: FilterParameter) -> float:

@@ -57,8 +57,6 @@ class TestParseArgs:
         config = parse_args(
             [
                 "census",
-                "-n",
-                "2",
                 "-A",
                 "50,60",
                 "-B",
@@ -98,7 +96,7 @@ class TestParseArgs:
         [
             ["lemmas", "-A", "7,100", "-B", "9,9"],  # default cutoff below 2
             ["census", "-A", "2,2", "-B", "1"],  # mismatched list lengths
-            ["census", "-n", "3", "-A", "2,2", "-B", "1,1"],  # -n disagrees
+            ["census", "-n", "3", "-A", "2,2", "-B", "1,1"],  # census takes no -n
             ["census", "-A", "5"],  # -B missing
             ["census"],  # bounds missing entirely
             ["census", "-A", "5,x", "-B", "2,2"],  # non-integer entry
@@ -111,8 +109,15 @@ class TestParseArgs:
             ["no-such-command"],
             ["e-set", "-A", "50,60", "-B", "4,5", "--C", "inf"],  # cutoff not finite
             ["converge", "--scales", "0,3", "-n", "2"],  # scale below 1
-            ["converge", "--scales", "3,5"],  # equal shape without -n or -A
+            ["converge", "--scales", "3,5"],  # equal shape without -n
             ["converge", "--scales", "3,5", "--shape", "separated"],  # no -n
+            ["converge", "--scales", "3,5", "-n", "0"],  # no coordinates
+            ["converge", "--scales", "3,5", "-n", "-2"],
+            ["asymptotic", "-A", "5,9", "-B", "2,3", "--C", "4"],  # reads no cutoff
+            ["asymptotic", "-A", "5,9", "-B", "2,3", "--budget", "5"],  # charges nothing
+            ["census", "-n", "2", "-A", "5,5", "-B", "2,2"],  # -n only repeats len(-A)
+            ["converge", "--shape", "equal", "-n", "2", "-A", "5,5", "-B", "2,2", "--scales", "3"],
+            ["converge", "--shape", "custom", "-n", "2", "-A", "5,5", "-B", "2,2", "--scales", "1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -151,6 +156,15 @@ class TestReports:
         assert results["envelope_lower"] == pytest.approx(
             results["envelope_upper"] / 2
         )
+
+    def test_asymptotic_config_has_no_cutoff_or_budget(self, capsys):
+        code, payload = _run_json(capsys, ["asymptotic", "-A", "10,20", "-B", "2,3"])
+        assert code == 0
+        config = payload["config"]
+        assert config["cutoff"] is None
+        assert config["coeff_bound"] is None
+        assert config["budget"] is None
+        assert config["base_max"] == [10, 20] and config["factors"] == 2
 
     def test_asymptotic_builds_no_sieve(self, capsys):
         # 2e8 is past the sieve cap, and the main term factors nothing
@@ -291,6 +305,17 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "overflow" in captured.err
+
+    def test_relation_search_charge_refuses(self, capsys):
+        # 46 080 searched rows times 2 * 73**3 half sums, far past the tuple charge
+        box = ["-A", ",".join(["10"] * 6), "-B", ",".join(["6"] * 6)]
+        for command in ("e-set", "lemmas"):
+            code = main([command, *box, "--C", "1e8"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "35851806720 half sums" in captured.err
+            assert "--budget" in captured.err
 
     def test_unwritable_out_returns_two(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"

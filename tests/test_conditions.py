@@ -14,6 +14,7 @@ from logforms import (
     BudgetError,
     ConfigError,
     FilterParameter,
+    count_bounded_relation,
     count_e_set,
     count_large_prime_power,
     default_cutoff,
@@ -172,6 +173,32 @@ class TestBoundedRelation:
         powers = (1, 20, 400, 8000, 160000, 3200000, 64000000)
         assert not _related(powers, k)
         assert _related(powers[:-1] + (3,), k)  # 3*1 - 1*3 = 0
+
+    def test_search_charge_is_exact(self):
+        # the rows reaching the search, with no zero and distinct magnitudes,
+        # counted by brute force; each forms (2k+1)**ceil(n/2) + (2k+1)**floor(n/2)
+        param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
+        for exp_max in ((3,), (2, 5), (3, 3, 3), (1, 2, 3), (4, 2, 6, 3), (2, 2, 2, 2, 2)):
+            rows = itertools.product(*(range(-b, b + 1) for b in exp_max))
+            searched = sum(len({abs(e) for e in row} - {0}) == len(row) for row in rows)
+            n = len(exp_max)
+            work = searched * (5 ** ((n + 1) // 2) + 5 ** (n // 2))
+            conditions_module._admissible_exps(exp_max, param, budget=work)
+            if work:  # five magnitudes in 1..2 cannot differ, so that box forms none
+                with pytest.raises(BudgetError, match=rf"form {work} half sums.*raise --budget"):
+                    conditions_module._admissible_exps(exp_max, param, budget=work - 1)
+
+    def test_search_charge_refuses_wide_window(self, table_small):
+        # 2**6 * 6! rows searched with k = 36: 3.6e10 half sums from 5.8e6 box tuples
+        bounds = Bounds((10,) * 6, (6,) * 6)
+        param = FilterParameter.from_cutoff(1e8)
+        assert param.coeff_bound == 36
+        for count in (
+            lambda: count_e_set(bounds, param, table_small),
+            lambda: count_bounded_relation(bounds, param),
+        ):
+            with pytest.raises(BudgetError, match=r"form 35851806720 half sums.*--budget"):
+                count()
 
 
 class TestESet:
