@@ -40,7 +40,6 @@ from .asymptotics import (
     main_term_exact,
     permanent_brute,
     permanent_ryser,
-    separated_leading_term,
     symmetric_leading_term,
 )
 from .census import (
@@ -83,7 +82,6 @@ __all__ = [
     "main_term_exact",
     "permanent_brute",
     "permanent_ryser",
-    "separated_leading_term",
     "symmetric_leading_term",
     "CensusReport",
     "ConvergenceResult",

@@ -13,10 +13,10 @@ approaches as the bounds grow.  ``main_term_exact`` sorts the bounds itself;
 ``BlockIndex`` (one assignment) and the permanents of 0/1 matrices that the
 definition uses remain available for checking it against that definition.
 
-Two closed forms bracket it: ``symmetric_leading_term`` (all bounds equal,
-the n! symmetry is fully active) and ``separated_leading_term`` (bounds so
-spread out that no permutation symmetry survives).  ``leading_term_envelope``
-returns both brackets for arbitrary bounds.
+Closed forms bracket it: ``symmetric_leading_term`` (all bounds equal, the n!
+symmetry is fully active) and ``leading_term_envelope``, whose upper bracket
+2**n prod(A_i B_i) is the form for bounds so spread out that no permutation
+symmetry survives, and whose lower bracket divides it by n!.
 
 All main-term arithmetic is exact (integers and fractions); callers receive
 floats only from the convenience wrappers.
@@ -38,7 +38,6 @@ __all__ = [
     "main_term",
     "main_term_exact",
     "symmetric_leading_term",
-    "separated_leading_term",
     "leading_term_envelope",
 ]
 
@@ -187,13 +186,6 @@ def symmetric_leading_term(n: int, base_max: float, exp_max: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return 2.0**n * float(base_max) ** n * float(exp_max) ** n / math.factorial(n)
-
-
-def separated_leading_term(bounds: Bounds) -> float:
-    """Leading form 2**n prod(A_i B_i) for strongly separated bounds."""
-    return float(
-        2**bounds.n * math.prod(bounds.base_max) * math.prod(bounds.exp_max)
-    )
 
 
 def leading_term_envelope(bounds: Bounds) -> tuple[float, float]:

@@ -42,7 +42,7 @@ from .core import (
     np,
 )
 from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
-from .asymptotics import main_term, separated_leading_term, symmetric_leading_term
+from .asymptotics import leading_term_envelope, main_term, symmetric_leading_term
 
 __all__ = [
     "CensusReport",
@@ -443,7 +443,7 @@ def _shape_bounds(shape: str, scale: int, factors: int | None, base: Bounds | No
             raise ConfigError("separated shape needs the number of factors")
         geometric = tuple(scale**i for i in range(1, factors + 1))
         bounds = Bounds(geometric, geometric)
-        return bounds, separated_leading_term(bounds)
+        return bounds, leading_term_envelope(bounds)[1]
     if shape == "custom":
         if base is None:
             raise ConfigError("custom shape needs base bounds to scale")
@@ -461,7 +461,6 @@ def convergence_run(
     *,
     factors: int | None = None,
     base: Bounds | None = None,
-    table: FactorTable | None = None,
     budget: int = DEFAULT_BUDGET,
     param: FilterParameter | None = None,
 ) -> ConvergenceResult:
@@ -478,7 +477,7 @@ def convergence_run(
     for scale in scales:
         bounds, formula = _shape_bounds(shape, scale, factors, base)
         try:
-            report = run_census(bounds, table, budget=budget, formula=formula, param=param)
+            report = run_census(bounds, budget=budget, formula=formula, param=param)
         except BudgetError:
             truncated_at = scale
             break

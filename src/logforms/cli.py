@@ -31,33 +31,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import __version__
 from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, FactorTable
 from .conditions import FilterParameter, count_e_set, default_cutoff
 from .smooth import check_condition
-from .asymptotics import leading_term_envelope, main_term, separated_leading_term
+from .asymptotics import leading_term_envelope, main_term
 from .census import convergence_run, run_census, verify_unique_representation
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 _CUTOFF_COMMANDS = {"e-set", "lemmas", "verify-theorem"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus every knob it reads."""
-
-    command: str
-    bounds: Bounds | None
-    param: FilterParameter | None
-    budget: int | None
-    output_path: str | None
-    format: str
-    scales: tuple[int, ...] | None
-    shape: str | None
-    factors: int | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,8 +95,11 @@ def _int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple[in
         parser.error(f"{flag} expects a comma-separated integer list, got {text!r}")
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Parse and validate; exits with status 2 on any usage problem."""
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and validate; exits with status 2 on any usage problem.
+
+    The namespace also carries ``bounds`` and ``param`` (None when unset or
+    unread), ``scales`` as a tuple, and ``factors``: -n, or len(-A) if given."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
@@ -150,17 +138,9 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         if ns.cutoff is not None or ns.command in _CUTOFF_COMMANDS:
             parser.error(str(exc))
 
-    return RunConfig(
-        command=ns.command,
-        bounds=bounds,
-        param=param,
-        budget=ns.budget,
-        output_path=ns.output_path,
-        format=ns.format,
-        scales=scales,
-        shape=ns.shape,
-        factors=ns.factors if bounds is None else bounds.n,
-    )
+    ns.bounds, ns.param, ns.scales = bounds, param, scales
+    ns.factors = ns.factors if bounds is None else bounds.n
+    return ns
 
 
 def _normalize(value):
@@ -190,7 +170,7 @@ def _report_rows(report, scale=None) -> dict:
     return row
 
 
-def _execute(config: RunConfig):
+def _execute(config: argparse.Namespace):
     """Returns (results, csv_rows, csv_fields, violation_found)."""
     bounds, param = config.bounds, config.param
 
@@ -200,12 +180,34 @@ def _execute(config: RunConfig):
             "main_term": main_term(bounds),
             "envelope_lower": lower,
             "envelope_upper": upper,
-            "separated_term": separated_leading_term(bounds),
+            "separated_term": upper,
         }
         return results, [results], list(results), False
 
+    if config.command == "converge":
+        outcome = convergence_run(
+            config.scales,
+            config.shape,
+            factors=config.factors,
+            base=bounds,
+            budget=config.budget,
+            param=param,
+        )
+        rows = [
+            _report_rows(report, scale)
+            for scale, report in zip(config.scales, outcome.reports)
+        ]
+        results = {
+            "shape": config.shape,
+            "scales": list(config.scales),
+            "truncated_at": outcome.truncated_at,
+            "reports": rows,
+        }
+        fields = list(rows[0]) if rows else ["scale"]
+        return results, rows, fields, False
+
     # the sieve runs on the table's first use, after the stage's box-only charge
-    table = FactorTable(max(bounds.base_max)) if bounds is not None else None
+    table = FactorTable(max(bounds.base_max))
     if config.command == "census":
         report = run_census(bounds, table, budget=config.budget, param=param)
         results = _report_rows(report)
@@ -233,56 +235,31 @@ def _execute(config: RunConfig):
         }
         return results, rows, list(rows[0]), False
 
-    if config.command == "verify-theorem":
-        violations = verify_unique_representation(
-            bounds, table, param=param, budget=config.budget
-        )
-        e_count = count_e_set(bounds, param, table, budget=config.budget)[0]
-        rows = [
-            {
-                "value": str(v.value),
-                "first_bases": list(v.first.bases),
-                "first_exps": list(v.first.exps),
-                "second_bases": list(v.second.bases),
-                "second_exps": list(v.second.exps),
-            }
-            for v in violations
-        ]
-        results = {
-            "checked_e_count": e_count,
-            "violation_count": len(rows),
-            "violations": rows,
+    # verify-theorem, the one command left
+    violations = verify_unique_representation(
+        bounds, table, param=param, budget=config.budget
+    )
+    e_count = count_e_set(bounds, param, table, budget=config.budget)[0]
+    rows = [
+        {
+            "value": str(v.value),
+            "first_bases": list(v.first.bases),
+            "first_exps": list(v.first.exps),
+            "second_bases": list(v.second.bases),
+            "second_exps": list(v.second.exps),
         }
-        fields = ["value", "first_bases", "first_exps", "second_bases", "second_exps"]
-        return results, rows, fields, bool(rows)
-
-    if config.command == "converge":
-        outcome = convergence_run(
-            config.scales,
-            config.shape,
-            factors=config.factors,
-            base=bounds,
-            table=table,
-            budget=config.budget,
-            param=param,
-        )
-        rows = [
-            _report_rows(report, scale)
-            for scale, report in zip(config.scales, outcome.reports)
-        ]
-        results = {
-            "shape": config.shape,
-            "scales": list(config.scales),
-            "truncated_at": outcome.truncated_at,
-            "reports": rows,
-        }
-        fields = list(rows[0]) if rows else ["scale"]
-        return results, rows, fields, False
-
-    raise ConfigError(f"unknown command {config.command!r}")
+        for v in violations
+    ]
+    results = {
+        "checked_e_count": e_count,
+        "violation_count": len(rows),
+        "violations": rows,
+    }
+    fields = ["value", "first_bases", "first_exps", "second_bases", "second_exps"]
+    return results, rows, fields, bool(rows)
 
 
-def _config_payload(config: RunConfig) -> dict:
+def _config_payload(config: argparse.Namespace) -> dict:
     param = config.param
     return {
         "command": config.command,
@@ -309,7 +286,7 @@ def _render_csv(rows: list[dict], fields: list[str]) -> str:
     return buffer.getvalue()
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one validated invocation and write its report."""
     start = time.perf_counter()
     try:
@@ -321,6 +298,12 @@ def run(config: RunConfig) -> int:
         # exit 1 means a violation was found; running out of memory is a resource error
         print(
             f"error: out of memory in {config.command}; shrink the box or lower --budget",
+            file=sys.stderr,
+        )
+        return 2
+    except OverflowError:
+        print(
+            f"error: a value in {config.command} is past the float range; shrink the box",
             file=sys.stderr,
         )
         return 2

@@ -2,7 +2,8 @@
 
 A form tuple pairs bases (a_1, ..., a_n) with signed exponents (b_1, ..., b_n)
 and represents the positive rational a_1**b_1 * ... * a_n**b_n.  The factor
-table gives each base its prime factorization; the census and the filters in
+table holds one array, the greatest prime factor of every base; peeling it
+gives each base its prime factorization, and the census and the filters in
 the other modules build their exact keys and masks from it.
 
 numpy is imported lazily: ``np`` below is the one handle the package's modules
@@ -153,42 +154,31 @@ class Permutation:
 class FactorTable:
     """Read-only prime-factor table for integers 2..limit.
 
-    ``spf[m]`` is the smallest prime dividing m (and 0 for m < 2).  The limit
-    is checked at once.  A table made without ``spf`` sieves it through
-    ``build_factor_table`` on first use, so a stage that a budget charge
-    refuses before it reads the table never pays for the sieve.  The sieve is
-    never mutated.  The greatest-prime-factor array of ``gpf()`` is built on
-    first use and kept.  Two threads that race on a first use build equal
-    arrays, so the table is safe to share.
+    ``gpf()[m]`` is the largest prime dividing m (and 0 for m < 2); it is the
+    table's one array.  The limit is checked at once.  A table made without
+    the array sieves it through ``build_factor_table`` on first use, so a
+    stage that a budget charge refuses before it reads the table never pays
+    for the sieve.  The array is never mutated.  Two threads that race on a
+    first use build equal arrays, so the table is safe to share.
     """
 
-    __slots__ = ("limit", "_spf", "_gpf")
+    __slots__ = ("limit", "_gpf")
 
-    def __init__(self, limit: int, spf: np.ndarray | None = None):
+    def __init__(self, limit: int, gpf: np.ndarray | None = None):
         self.limit = _sieve_limit(limit)
-        self._spf = spf
-        self._gpf: np.ndarray | None = None
-
-    @property
-    def spf(self) -> np.ndarray:
-        if self._spf is None:
-            self._spf = build_factor_table(self.limit).spf
-        return self._spf
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending."""
-        idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-        mask = (idx >= 2) & (self.spf == idx)
-        return np.nonzero(mask)[0]
+        self._gpf = gpf
 
     def gpf(self) -> np.ndarray:
         """gpf[m] is the largest prime dividing m (and 0 for m < 2)."""
         if self._gpf is None:
-            gpf = np.zeros(self.limit + 1, dtype=np.int32)
-            for p in self.primes():
-                gpf[p::p] = p  # ascending primes, so the last write wins
-            self._gpf = gpf
+            self._gpf = build_factor_table(self.limit).gpf()
         return self._gpf
+
+    def primes(self) -> np.ndarray:
+        """All primes <= limit, ascending."""
+        idx = np.arange(self.limit + 1, dtype=np.int32)
+        # gpf[0] = 0 matches index 0, which is dropped
+        return np.nonzero(self.gpf() == idx)[0][1:]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FactorTable(limit={self.limit})"
@@ -204,21 +194,19 @@ def _sieve_limit(limit: int) -> int:
 
 
 def build_factor_table(limit: int) -> FactorTable:
-    """Sieve smallest prime factors for every integer up to ``limit``.
+    """Sieve greatest prime factors for every integer up to ``limit``.
 
     limit = 1 yields an empty table (there are no integers >= 2 to factor).
     """
     limit = _sieve_limit(limit)
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    composite = np.zeros(limit + 1, dtype=bool)
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    # remaining zeros at indices >= 2 are primes above sqrt(limit)
-    rest = np.nonzero(spf == 0)[0]
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    return FactorTable(limit, spf)
+        if not composite[p]:
+            composite[p * p :: p] = True
+    gpf = np.zeros(limit + 1, dtype=np.int32)
+    for p in np.nonzero(~composite[2:])[0] + 2:
+        gpf[p::p] = p  # ascending primes, so the last write wins
+    return FactorTable(limit, gpf)
 
 
 def factorize(m: int, table: FactorTable) -> tuple[tuple[int, int], ...]:
@@ -231,13 +219,14 @@ def factorize(m: int, table: FactorTable) -> tuple[tuple[int, int], ...]:
         raise ValueError("can only factor positive integers")
     if m > table.limit:
         raise ValueError(f"{m} exceeds factor table limit {table.limit}")
-    spf = table.spf
+    gpf = table.gpf()
     out: list[tuple[int, int]] = []
     while m > 1:
-        p = int(spf[m])
+        p = int(gpf[m])
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         out.append((p, e))
+    out.reverse()
     return tuple(out)

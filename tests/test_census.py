@@ -430,25 +430,23 @@ class TestRunCensus:
 
 
 class TestConvergenceRun:
-    def test_equal_shape_scales(self, table_small):
-        result = convergence_run((3, 5, 8), "equal", factors=2, table=table_small)
+    def test_equal_shape_scales(self):
+        result = convergence_run((3, 5, 8), "equal", factors=2)
         assert result.truncated_at is None
         assert len(result.reports) == 3
         for scale, report in zip((3, 5, 8), result.reports):
             assert report.bounds == Bounds((scale, scale), (scale, scale))
 
-    def test_separated_shape_scales(self, table_small):
-        result = convergence_run((3, 4), "separated", factors=2, table=table_small)
+    def test_separated_shape_scales(self):
+        result = convergence_run((3, 4), "separated", factors=2)
         assert [r.bounds for r in result.reports] == [
             Bounds((3, 9), (3, 9)),
             Bounds((4, 16), (4, 16)),
         ]
 
-    def test_custom_shape_scales(self, table_small):
+    def test_custom_shape_scales(self):
         base = Bounds((4, 6), (2, 3))
-        result = convergence_run(
-            (1, 2), "custom", base=base, table=table_small
-        )
+        result = convergence_run((1, 2), "custom", base=base)
         assert [r.bounds for r in result.reports] == [
             base,
             Bounds((8, 12), (4, 6)),
@@ -459,13 +457,11 @@ class TestConvergenceRun:
         [("equal", {}), ("custom", {"factors": 2}), ("spiral", {"factors": 2})],
         ids=["equal-without-factors", "custom-without-base", "unknown-shape"],
     )
-    def test_incomplete_shape_is_rejected(self, table_small, shape, options):
+    def test_incomplete_shape_is_rejected(self, shape, options):
         with pytest.raises(ConfigError):
-            convergence_run((3, 5), shape, table=table_small, **options)
+            convergence_run((3, 5), shape, **options)
 
-    def test_budget_truncates_run(self, table_small):
-        result = convergence_run(
-            (3, 40), "equal", factors=2, table=table_small, budget=10**4
-        )
+    def test_budget_truncates_run(self):
+        result = convergence_run((3, 40), "equal", factors=2, budget=10**4)
         assert result.truncated_at == 40
         assert len(result.reports) == 1

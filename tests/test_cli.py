@@ -388,6 +388,24 @@ class TestExitCodes:
         assert "memory" in captured.err
         assert "verify-theorem" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--scales", "3", "-n", "2000"],  # the symmetric leading term
+            ["converge", "--shape", "separated", "--scales", "1", "-n", "2000"],
+            ["asymptotic", "-A", f"{10**400},5", "-B", "2,3"],  # the main term
+        ],
+        ids=["converge-equal", "converge-separated", "asymptotic"],
+    )
+    def test_float_overflow_returns_two(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a value in {argv[0]} is past the float range; shrink the box\n"
+        )
+
 
 class TestStart:
     def test_asymptotic_and_refusals_never_load_numpy(self, fresh_python):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import _trial_division
 from logforms import (
     Bounds,
     BudgetError,
@@ -85,18 +86,15 @@ class TestFormTuple:
 
 
 class TestFactorTable:
-    def test_spf_is_smallest_prime_divisor(self, table_small):
-        rng = random.Random(101)
-        for _ in range(200):
-            m = rng.randint(2, table_small.limit)
-            p = int(table_small.spf[m])
-            assert m % p == 0
-            assert all(m % q for q in range(2, p))
+    def test_gpf_is_largest_prime_by_trial_division(self, table_grid):
+        gpf = table_grid.gpf().tolist()
+        for m in range(2, table_grid.limit + 1):
+            assert gpf[m] == _trial_division(m)[-1][0], m
 
     def test_primes_listing(self, table_small):
         primes = list(table_small.primes())
         assert primes[:6] == [2, 3, 5, 7, 11, 13]
-        assert all(int(table_small.spf[p]) == p for p in primes)
+        assert all(int(table_small.gpf()[p]) == p for p in primes)
 
     def test_limit_one_is_empty(self):
         table = build_factor_table(1)
@@ -110,7 +108,6 @@ class TestFactorTable:
     def test_deferred_table_sieves_on_first_use(self, sieves, table_small):
         table = FactorTable(300)
         assert table.limit == 300 and sieves == []
-        assert table.spf.tolist() == table_small.spf.tolist()
         assert table.gpf().tolist() == table_small.gpf().tolist()
         assert sieves == [300]
 
