@@ -31,14 +31,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 
 from . import __version__
 from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, FactorTable
 from .conditions import FilterParameter, count_e_set, default_cutoff
 from .smooth import check_condition
 from .asymptotics import leading_term_envelope, main_term
-from .census import convergence_run, run_census, verify_unique_representation
+from .census import CensusReport, convergence_run, run_census, verify_unique_representation
 
 __all__ = ["parse_args", "run", "main"]
 
@@ -158,15 +158,9 @@ def _normalize(value):
 
 def _report_rows(report, scale=None) -> dict:
     row = {} if scale is None else {"scale": scale}
-    row.update(
-        base_max=list(report.bounds.base_max),
-        exp_max=list(report.bounds.exp_max),
-        tuple_space=report.tuple_space,
-        exact_count=report.exact_count,
-        formula_value=report.formula_value,
-        ratio=report.ratio,
-        e_count=report.e_count,
-    )
+    row.update(base_max=list(report.bounds.base_max), exp_max=list(report.bounds.exp_max))
+    for field in dataclass_fields(CensusReport)[1:]:  # the fields after bounds
+        row[field.name] = getattr(report, field.name)
     return row
 
 
@@ -240,14 +234,10 @@ def _execute(config: argparse.Namespace):
         bounds, table, param=param, budget=config.budget
     )
     e_count = count_e_set(bounds, param, table, budget=config.budget)[0]
+    fields = ["value", "first_bases", "first_exps", "second_bases", "second_exps"]
     rows = [
-        {
-            "value": str(v.value),
-            "first_bases": list(v.first.bases),
-            "first_exps": list(v.first.exps),
-            "second_bases": list(v.second.bases),
-            "second_exps": list(v.second.exps),
-        }
+        dict(zip(fields, (str(v.value), list(v.first.bases), list(v.first.exps),
+                          list(v.second.bases), list(v.second.exps))))
         for v in violations
     ]
     results = {
@@ -255,7 +245,6 @@ def _execute(config: argparse.Namespace):
         "violation_count": len(rows),
         "violations": rows,
     }
-    fields = ["value", "first_bases", "first_exps", "second_bases", "second_exps"]
     return results, rows, fields, bool(rows)
 
 

@@ -161,11 +161,12 @@ def _large_prime_power_grid(
     p**k_p for some prime p.  One table over 0 .. prod(max column) marks those
     multiples, and each cell reads the mark of its product; the products are
     formed about ``_BLOCK`` cells at a time.  A product of 0 is never marked.
+    Only primes p <= max(tops) with p*p in the table are visited (k_p >= 2).
     """
     tops = [int(column.max(initial=0)) for column in columns]
     marked = np.zeros(math.prod(tops) + 1, dtype=bool)
     primes = table.primes()
-    for p in primes[primes <= max(tops)].tolist():
+    for p in primes[(primes <= max(tops)) & (primes * primes < marked.size)].tolist():
         q = p ** _min_bad_exponent(p, cutoff)
         marked[q::q] = True
     rest = functools.reduce(np.multiply.outer, columns[1:], np.ones((), dtype=np.int64))

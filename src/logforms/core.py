@@ -22,8 +22,6 @@ from dataclasses import dataclass
 __all__ = [
     "BudgetError",
     "ConfigError",
-    "DEFAULT_BUDGET",
-    "charge",
     "Bounds",
     "FormTuple",
     "Permutation",
@@ -194,18 +192,25 @@ def _sieve_limit(limit: int) -> int:
 
 
 def build_factor_table(limit: int) -> FactorTable:
-    """Sieve greatest prime factors for every integer up to ``limit``.
+    """Sieve greatest prime factors for every integer up to ``limit``, in two phases.
+
+    First the primes p <= r = isqrt(limit) write p to their multiples, largest last.
+    Every m <= limit has at most one prime factor P > r, which is then gpf[m],
+    and the entries still 0 above r are those primes.  So for each cofactor
+    k <= limit // (r + 1), one vectorized write sets gpf[k * P] = P for P <= limit // k.
 
     limit = 1 yields an empty table (there are no integers >= 2 to factor).
     """
     limit = _sieve_limit(limit)
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
+    root = math.isqrt(limit)
     gpf = np.zeros(limit + 1, dtype=np.int32)
-    for p in np.nonzero(~composite[2:])[0] + 2:
-        gpf[p::p] = p  # ascending primes, so the last write wins
+    for p in range(2, root + 1):
+        if not gpf[p]:  # no smaller prime divides p
+            gpf[p::p] = p
+    large = np.flatnonzero(gpf[root + 1 :] == 0) + (root + 1)
+    for k in range(1, limit // (root + 1) + 1):
+        primes = large[: np.searchsorted(large, limit // k, side="right")]
+        gpf[k * primes] = primes
     return FactorTable(limit, gpf)
 
 
