@@ -7,22 +7,21 @@ reorderings; the permissibility helpers measure how much of the box a
 coordinate permutation preserves; and ``convergence_run`` sweeps a scale
 sequence comparing exact counts against the leading-term formulas.
 
-The count never visits a box tuple.  A value is its prime-exponent vector,
-encoded as an exact integer key (one balanced mixed-radix digit per prime,
-packed into int64 words) on which addition is vector addition.  The value set
-is then the sumset S_1 + ... + S_n of the per-coordinate power sets, built
-one layer at a time as T_k = dedup(T_{k-1} + S_k) with numpy sorts.  Keys
-wider than one word are ordered by a linear 64-bit fingerprint (Karp-Rabin
-style), and every run of equal fingerprints is certified on the exact keys,
-so a collision costs time, never a wrong count.  A second, deliberately
-independent strategy ("sorted") reduces every box tuple to its exact fraction
-and counts the distinct ones; it reads no factor table, and the test suite
-holds the two to exact agreement.
+A value is its prime-exponent vector, encoded as an exact integer key (one
+balanced mixed-radix digit per prime, packed into int64 words) on which
+addition is vector addition.  The count never visits a box tuple: it builds
+the sumset S_1 + ... + S_n of the per-coordinate power sets one layer at a
+time, T_k = dedup(T_{k-1} + S_k).  One-word sums are sorted as they are; all
+other equal keys, of the count and of the uniqueness check, are found by one
+kernel, ``_equal_runs``, which sorts a linear 64-bit fingerprint per key
+(Karp-Rabin style) and certifies every run of equal fingerprints on the exact
+keys, so a collision costs time, never a wrong answer.  A second, independent
+strategy ("sorted") reduces every box tuple to its exact fraction and counts
+the distinct ones; it reads no factor table, and the tests hold the two equal.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -143,34 +142,61 @@ def _key_words(layout: tuple[int, list], limit: int) -> np.ndarray:
     return keys
 
 
-def _distinct_columns(words: np.ndarray) -> np.ndarray:
-    """The distinct columns of a (words, m) key array, exactly."""
-    words = words[:, np.lexsort(words)]
-    return words[:, np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)]]
-
-
-def _coordinate_values(keys: np.ndarray, a_max: int, b_max: int) -> np.ndarray:
-    """Distinct keys of a**b over 1 <= a <= a_max, |b| <= b_max."""
-    powers = keys[:, 1 : a_max + 1, None] * np.arange(-b_max, b_max + 1)
-    return _distinct_columns(powers.reshape(keys.shape[0], -1))
-
-
 def _fingerprint_weights(width: int) -> np.ndarray:
     """Random odd multipliers r_w of the fingerprint sum_w word_w * r_w mod 2**64."""
     rng = random.Random(_FINGERPRINT_SEED)
     return np.array([rng.getrandbits(64) | 1 for _ in range(width)], dtype=np.uint64)
 
 
+def _equal_runs(prints: np.ndarray, words_at) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates in an order that puts equal exact keys together.
+
+    ``prints`` holds a uint64 fingerprint per candidate, equal for equal keys,
+    and is overwritten: the candidate's index goes into its low bits, and it is
+    sorted.  Each run of equal fingerprints is certified on the exact words of
+    its adjacent members, which ``words_at(index)`` rebuilds ``_CERTIFY_BLOCK``
+    pairs at a time; a run whose members differ (a collision) is resolved by
+    an exact sort of that run only.  Returns the candidates' indices in that
+    order and a mark on the first candidate of each key.
+    """
+    low = np.uint64(2 ** (prints.size - 1).bit_length() - 1)
+    prints &= ~low
+    prints |= np.arange(prints.size, dtype=np.uint64)
+    prints.sort()
+    fresh = np.r_[True, (prints[1:] ^ prints[:-1]) > low]
+    prints &= low
+    index = prints.view(np.int64)
+    pairs = np.flatnonzero(~fresh[1:])
+    collided = np.concatenate([
+        block[(words_at(index[block]) != words_at(index[block + 1])).any(axis=0)]
+        for block in np.split(pairs, range(_CERTIFY_BLOCK, pairs.size, _CERTIFY_BLOCK))
+    ])
+    if collided.size:
+        starts = np.flatnonzero(np.r_[fresh, True])
+        ends = np.unique(np.searchsorted(starts, collided, side="right"))
+        for lo, hi in zip(starts[ends - 1].tolist(), starts[ends].tolist()):
+            index[lo:hi] = index[lo:hi][np.lexsort(words_at(index[lo:hi]))]
+            words = words_at(index[lo:hi])
+            fresh[lo + 1 : hi] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    return index, fresh
+
+
+def _coordinate_values(keys: np.ndarray, a_max: int, b_max: int) -> np.ndarray:
+    """Distinct keys of a**b over 1 <= a <= a_max, |b| <= b_max."""
+    powers = (keys[:, 1 : a_max + 1, None] * np.arange(-b_max, b_max + 1)).reshape(len(keys), -1)
+    prints = _fingerprint_weights(len(keys)) @ powers.view(np.uint64)
+    index, fresh = _equal_runs(prints, lambda index: powers[:, index])
+    return powers[:, index[fresh]]
+
+
 def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarray | int:
     """Distinct sums of a column of ``values`` and a column of ``layer``.
 
     Returns their key columns, or only their number when ``count_only``.
-    One-word keys are exact, so sorting them groups equal sums.  Wider keys
-    are sorted by a linear fingerprint in the high bits of a uint64 whose low
-    bits hold the candidate's index; equal sums then sit in one run of equal
-    fingerprints.  Each run is certified by comparing the exact words of its
-    adjacent members, rebuilt from the index, and a run whose members differ
-    (a fingerprint collision) is resolved by an exact sort of its members.
+    One-word keys are exact, so sorting them groups equal sums.  Wider keys go
+    through ``_equal_runs``; the fingerprint is linear, so a sum's fingerprint
+    is the sum of its terms' fingerprints, and its words are rebuilt from its
+    index only to certify its run.
     """
     if values.shape[0] == 1:
         sums = np.add.outer(values[0], layer[0]).ravel()
@@ -183,51 +209,31 @@ def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarr
         return np.take(values, t, axis=1) + np.take(layer, s, axis=1)
 
     weights = _fingerprint_weights(values.shape[0])
-    size = values.shape[1] * layer.shape[1]
-    shift = np.uint64((size - 1).bit_length())
-    packed = np.add.outer(
-        (values.view(np.uint64) * weights[:, None]).sum(axis=0),
-        (layer.view(np.uint64) * weights[:, None]).sum(axis=0),
-    ).ravel()
-    packed >>= shift
-    packed <<= shift
-    packed |= np.arange(size, dtype=np.uint64)
-    packed.sort()
-    fresh = np.r_[True, (packed[1:] ^ packed[:-1]) >> shift != 0]
-    packed &= (np.uint64(1) << shift) - np.uint64(1)
-    index = packed.view(np.int64)
-    pairs = np.flatnonzero(~fresh[1:])
-    collided = []
-    for block in np.split(pairs, range(_CERTIFY_BLOCK, pairs.size, _CERTIFY_BLOCK)):
-        unequal = words_at(index[block]) != words_at(index[block + 1])
-        collided.append(block[functools.reduce(np.logical_or, unequal)])
-    collided = np.concatenate(collided)
-    clean, resolved = fresh, values[:, :0]
-    if collided.size:
-        runs = np.cumsum(fresh) - 1
-        dirty = np.isin(runs, runs[collided])
-        clean = fresh & ~dirty
-        resolved = _distinct_columns(words_at(index[dirty]))
-    if count_only:
-        return int(np.count_nonzero(clean)) + resolved.shape[1]
-    return np.concatenate((words_at(index[clean]), resolved), axis=1)
+    prints = np.add.outer(weights @ values.view(np.uint64), weights @ layer.view(np.uint64))
+    index, fresh = _equal_runs(prints.ravel(), words_at)
+    return int(np.count_nonzero(fresh)) if count_only else words_at(index[fresh])
 
 
 def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     """Distinct values as the layered sumset T_k = dedup(T_{k-1} + S_k).
 
     The budget is charged for every candidate value formed: the A_k*(2B_k+1)
-    powers that make up the coordinate sets S_k, once per key word, then
-    |T_{k-1}| * |S_k| sums per layer, each charged before it is formed.  The
-    coordinates are combined in ascending order of |S_k|.
+    powers that make up the coordinate sets S_k, once per key word (first at a
+    lower bound on the words, before the sieve), then |T_{k-1}| * |S_k| sums
+    per layer, each charged before it is formed.  Layers go in ascending |S_k|.
     """
     combine = "census would combine at least {} candidate values and key words".format
     work = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
     charge(work, budget, combine(work))
+    limit = max(bounds.base_max)
+    # more than A / ln A primes (A >= 17, Rosser & Schoenfeld 1962) each take a
+    # digit of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them
+    work = powers * -(-int(limit / math.log(limit)) // 40) if limit > 1 else powers
+    charge(work, budget, combine(work))
     layout = _key_layout(bounds, table)
     work = layout[0] * powers
     charge(work, budget, combine(work))
-    keys = _key_words(layout, max(bounds.base_max))
+    keys = _key_words(layout, limit)
     layers = sorted(
         (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
         key=lambda layer: layer.shape[1],
@@ -299,16 +305,17 @@ def verify_unique_representation(
     """Check that equal values in the filtered set come from reorderings only.
 
     Each member of the filtered set (tuples passing none of the three
-    exclusion conditions) gets two exact keys: its value (its bases' key
-    words times its exponents) and its orbit (its sorted (base, exponent)
-    pair codes).  One lexsort orders the members by value, then orbit.  A run
-    of equal values whose orbit changes inside it is one violation, witnessed
-    by the run's first member and its first member of another orbit.
-    Violations come in key order; the expected result is an empty list.
+    exclusion conditions) is keyed by its value, its bases' key words times
+    its exponents.  ``_equal_runs`` puts equal values together from the
+    fingerprint sum_i fp(a_i) * b_i mod 2**64, so value words are only built a
+    block at a time.  Each later member of a value run is compared with the
+    run's first member on its orbit, its sorted (base, exponent) pair codes.
+    A run with two orbits is one violation, witnessed by its first member and
+    its first member of another orbit.  Violations come in fingerprint order,
+    fixed by the seed; the expected result is an empty list.
 
     The budget is charged prod(A_i) + prod(2 B_i + 1) and the half sums of
-    the filters, then the value words of the filtered members (members times key words) before
-    any key is formed.
+    the filters, then members times key words before any key is formed.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
@@ -319,33 +326,31 @@ def verify_unique_representation(
     doing = f"uniqueness check would key {members} e-set members in {layout[0]} words each"
     charge(members * layout[0], budget, doing)
     bases = np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1)
+    keys = _key_words(layout, max(bounds.base_max))
+    base_prints = (_fingerprint_weights(layout[0]) @ keys.view(np.uint64))[bases]
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys
-    words = _key_words(layout, max(bounds.base_max))
-    values = [
-        sum(np.multiply.outer(word[bases[:, i]], exps[:, i]) for i in range(bounds.n)).ravel()
-        for word in words
-    ]
-    width = 2 * max(bounds.exp_max) + 1
-    pairs = [np.add.outer(bases[:, i] * width, exps[:, i] + width // 2) for i in range(bounds.n)]
-    orbits = np.sort(np.stack([pair.ravel() for pair in pairs], axis=1), axis=1)
-    order = np.lexsort((*orbits.T, *values))
-    same_value = functools.reduce(
-        np.logical_and, [v[order[1:]] == v[order[:-1]] for v in values]
-    )
-    orbits = orbits[order]
-    new_orbit = (orbits[1:] != orbits[:-1]).any(axis=1)
-    # position of the first member of each sorted member's value run
-    run_start = np.maximum.accumulate(np.r_[0, np.arange(1, len(order)) * ~same_value])
-    changes = np.flatnonzero(same_value & new_orbit) + 1
-    starts, first_change = np.unique(run_start[changes], return_index=True)
+    def words_at(index: np.ndarray) -> np.ndarray:
+        b, e = np.divmod(index, len(exps))
+        return sum(keys[:, bases[b, i]] * exps[e, i] for i in range(bounds.n))
+
+    index, fresh = _equal_runs((base_prints @ exps.view(np.uint64).T).ravel(), words_at)
+    starts, later = np.flatnonzero(fresh), np.flatnonzero(~fresh)
+    witnesses: dict[int, int] = {}  # run start -> its first member of another orbit
+    for block in np.split(later, range(_CERTIFY_BLOCK, later.size, _CERTIFY_BLOCK)):
+        first = starts[np.searchsorted(starts, block) - 1]
+        b, e = np.divmod(index[np.stack((first, block))], len(exps))
+        orbits = np.sort(bases[b] * (2 * max(bounds.exp_max) + 1) + exps[e], axis=2)
+        other = (orbits[0] != orbits[1]).any(axis=1)
+        for start, change in zip(first[other].tolist(), block[other].tolist()):
+            witnesses.setdefault(start, change)
 
     violations: list[OrbitViolation] = []
-    for start, change in zip(starts.tolist(), changes[first_change].tolist()):
+    for start, change in witnesses.items():
         first, second = (
             FormTuple(tuple(bases[b].tolist()), tuple(exps[e].tolist()))
-            for b, e in (divmod(int(order[k]), len(exps)) for k in (start, change))
+            for b, e in (divmod(int(index[k]), len(exps)) for k in (start, change))
         )
         value = Fraction(*_exact_value(first.bases, first.exps))
         violations.append(OrbitViolation(value, first, second))

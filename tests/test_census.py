@@ -77,6 +77,20 @@ def _grouping_violations(base_rows, exp_rows):
     return {value for value, orbits in groups.items() if len(orbits) > 1}
 
 
+def _collision_weights(weighted_words):
+    """Fingerprint weights that weight only the first ``weighted_words`` key
+    words, so distinct keys that differ in the others share a fingerprint;
+    None keeps the real weights."""
+    if weighted_words is None:
+        return census_module._fingerprint_weights
+
+    def weights(width):
+        odd = 0x9E3779B97F4A7C15
+        return np.array([odd] * weighted_words + [0] * (width - weighted_words), dtype=np.uint64)
+
+    return weights
+
+
 def _same_orbit(first, second):
     """Whether the two tuples hold the same (base, exponent) pairs."""
     return sorted(zip(first.bases, first.exps)) == sorted(zip(second.bases, second.exps))
@@ -155,26 +169,20 @@ class TestCountDistinctRationals:
     def test_fingerprint_collisions_are_resolved(
         self, table_small, monkeypatch, weighted_words
     ):
-        # weight only the first ``weighted_words`` key words, so distinct
-        # values that differ in the others share a fingerprint
-        def weights(width):
-            odd = 0x9E3779B97F4A7C15
-            return np.array(
-                [odd] * weighted_words + [0] * (width - weighted_words), dtype=np.uint64
-            )
-
+        # the kernel sorts exactly only the runs whose fingerprints collided
         exact_sorts = []
-        distinct_columns = census_module._distinct_columns
+        lexsort = np.lexsort
 
-        def spy(words):
-            exact_sorts.append(words.shape[1])
-            return distinct_columns(words)
+        def spy(keys):
+            exact_sorts.append(len(keys[0]))
+            return lexsort(keys)
 
+        weights = _collision_weights(weighted_words)
         monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
-        monkeypatch.setattr(census_module, "_distinct_columns", spy)
+        monkeypatch.setattr(np, "lexsort", spy)
         bounds = Bounds((160, 2, 2), (1, 1, 1))
         count = count_distinct_rationals(bounds, table_small)
-        assert len(exact_sorts) > bounds.n  # collided runs were sorted exactly
+        assert exact_sorts  # collided runs were sorted exactly
         assert count == count_distinct_rationals(bounds, table_small, strategy="sorted")
 
     def test_coordinate_order_is_irrelevant(self, table_small):
@@ -213,12 +221,13 @@ class TestCountDistinctRationals:
 
     def test_power_charge_counts_key_words(self):
         # 177-word keys: the coordinate powers would fill about 2.85 GB per
-        # coordinate, so the refusal must come before they are formed
+        # coordinate, so the refusal must come before they are formed; the
+        # words are charged first at their pre-sieve lower bound, 28
         bounds = Bounds((10000, 10000), (100, 100))
         table = build_factor_table(10000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"at least 711540000 .*--budget"):
+            with pytest.raises(BudgetError, match=r"at least 112560000 .*--budget"):
                 count_distinct_rationals(bounds, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -226,12 +235,13 @@ class TestCountDistinctRationals:
         assert peak < 64 * 2**20
 
     def test_key_words_are_charged_before_they_exist(self):
-        # 3e5 powers pass the one-word check, but 241-word keys would take 184 MB
+        # 3e5 powers pass the one-word check, but 241-word keys would take
+        # 184 MB; the pre-sieve lower bound of 218 words already refuses them
         bounds = Bounds((100000,), (1,))
         table = build_factor_table(100000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"at least 72300000 .*--budget"):
+            with pytest.raises(BudgetError, match=r"at least 65400000 .*--budget"):
                 count_distinct_rationals(bounds, table, budget=10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -266,10 +276,14 @@ class TestVerifyUniqueRepresentation:
         assert first_value == second_value == seen.value
         assert not _same_orbit(seen.first, seen.second)
 
-    def test_violations_match_grouping_oracle(self, table_small, monkeypatch):
-        # the unfiltered box has many collisions; the sort must report exactly
-        # the values that a plain grouping by value and orbit finds
+    @pytest.mark.parametrize("weighted_words", [None, 0, 1], ids=["real", "0", "1"])
+    def test_violations_match_grouping_oracle(self, table_small, monkeypatch, weighted_words):
+        # the unfiltered box has many collisions; the check must report exactly
+        # the values that a plain grouping by value and orbit finds, also when
+        # distinct values share fingerprints
         monkeypatch.setattr(census_module, "_admissible_tuples", _unfiltered_box)
+        weights = _collision_weights(weighted_words)
+        monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
         rng = random.Random(246)
         wide_keys = [Bounds((160, 2), (1, 1)), Bounds((235, 2), (2, 1))]
         found = 0
@@ -340,6 +354,21 @@ class TestVerifyUniqueRepresentation:
             )
             == []
         )
+
+    def test_memory_per_member(self, table_small):
+        # equal values are grouped from one fingerprint per member, and value
+        # words and orbit codes are built a block at a time: about 27 traced
+        # bytes per member on this box
+        bounds = Bounds((100, 100), (10, 10))
+        members = count_e_set(bounds, default_cutoff(bounds), table_small)[0]
+        assert members == 919_360
+        tracemalloc.start()
+        try:
+            assert verify_unique_representation(bounds, table_small) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * members
 
     @pytest.mark.parametrize(
         "base_max,exp_max,cutoff,members",

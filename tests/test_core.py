@@ -57,6 +57,8 @@ _BIG = Bounds((50_000_000, 20), (3, 3))
 _TABLELESS = {
     "census-set": lambda: count_distinct_rationals(_BIG, budget=1),
     "census-sorted": lambda: count_distinct_rationals(_BIG, budget=1, strategy="sorted"),
+    # admitted by the power charge, refused by the key words' pre-sieve lower bound
+    "census-key-words": lambda: count_distinct_rationals(Bounds((10_000_000,), (1,))),
     "verify": lambda: verify_unique_representation(_BIG, param=_PARAM, budget=1),
     "run-census": lambda: run_census(_BIG, budget=1),
 }
