@@ -40,7 +40,7 @@ from .core import (
     charge,
     np,
 )
-from .conditions import FilterParameter, _admissible_tuples, count_e_set, default_cutoff
+from .conditions import FilterParameter, _admissible_rows, count_e_set, default_cutoff
 from .asymptotics import leading_term_envelope, main_term, symmetric_leading_term
 
 __all__ = [
@@ -314,13 +314,13 @@ def verify_unique_representation(
     its first member of another orbit.  Violations come in fingerprint order,
     fixed by the seed; the expected result is an empty list.
 
-    The budget is charged prod(A_i) + prod(2 B_i + 1) and the half sums of
-    the filters, then members times key words before any key is formed.
+    The budget is charged prod(A_i), the half sums of the filters and the
+    exponent rows, then members times key words before any key is formed.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
-    columns, clean, exps = _admissible_tuples(bounds, param, table, budget)
+    columns, clean, exps = _admissible_rows(bounds, param, table, budget)
     members = int(np.count_nonzero(clean)) * len(exps)
     layout = _key_layout(bounds, table)
     doing = f"uniqueness check would key {members} e-set members in {layout[0]} words each"

@@ -7,8 +7,9 @@ Three per-tuple conditions are tested against a cutoff parameter C >= 2:
 2. some base is C-smooth, i.e. all of its prime factors are <= C (the base 1
    counts vacuously);
 3. the exponents admit a nontrivial integer relation
-   c_1*b_1 + ... + c_n*b_n = 0 with every |c_i| <= floor(2 ln C), decided
-   for whole exponent arrays by one vectorized meet-in-the-middle search.
+   c_1*b_1 + ... + c_n*b_n = 0 with every |c_i| <= floor(2 ln C).  A zero or
+   a repeated magnitude is a +-1 relation, and signs and order do not matter,
+   so one meet-in-the-middle search decides each set m_1 < ... < m_n once.
 
 Form tuples passing *none* of the three conditions make up the "e-set".
 Inside it, equal product values force equal tuples up to reordering of the
@@ -48,8 +49,7 @@ __all__ = [
     "count_e_set",
 ]
 
-# Half sums per block of the relation engine, rows per exponent-grid block,
-# and base cells per block of the condition-1 grid.
+# Half sums per block of the relation engine, and base cells per condition-1 grid block.
 _BLOCK = 1 << 18
 
 
@@ -110,15 +110,12 @@ def _search_plan(n: int, k: int, top: int, rows: int) -> tuple[int, int]:
 def _related(exps: np.ndarray, k: int) -> np.ndarray:
     """Condition 3 on every row of a (q, n) int64 array, as a boolean mask.
 
-    A zero entry or two equal magnitudes give a +-1 relation.  Otherwise the
-    first ceil(n/2) coordinates meet the rest in the middle: the row is related
-    iff a nonzero half-vector sums to 0, or a nonzero left sum s meets a right
-    sum -s.  Each row's sums get a key range of their own, so one sort and one
-    search serve a block of about ``_BLOCK`` half sums.
+    The first ceil(n/2) coordinates meet the rest in the middle: the row is
+    related iff a nonzero half-vector sums to 0, or a nonzero left sum s meets
+    a right sum -s.  Each row's sums get a key range of their own, so one sort
+    and one search serve a block of about ``_BLOCK`` half sums.
     """
     n = exps.shape[1]
-    mags = np.sort(np.abs(exps), axis=1)
-    related = (mags[:, :1] == 0).any(axis=1) | (mags[:, 1:] == mags[:, :-1]).any(axis=1)
     h = (n + 1) // 2
     left_grid, right_grid = (
         np.array(list(itertools.product(range(-k, k + 1), repeat=m)), dtype=np.int64).T
@@ -126,18 +123,19 @@ def _related(exps: np.ndarray, k: int) -> np.ndarray:
     )
     top = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
     step = _search_plan(n, k, top, len(exps))[1]
-    todo = np.flatnonzero(~related)
-    for block in np.split(todo, range(step, todo.size, step)):
-        left, right = exps[block, :h] @ left_grid, exps[block, h:] @ right_grid
+    related = np.empty(len(exps), dtype=bool)
+    for start in range(0, len(exps), step):
+        block = exps[start : start + step]
+        left, right = block[:, :h] @ left_grid, block[:, h:] @ right_grid
         # the zero half-vector always sums to 0, so a nonzero one needs a second 0
         found = ((left == 0).sum(axis=1) > 1) | ((right == 0).sum(axis=1) > 1)
-        span = k * np.abs(exps[block]).sum(axis=1)  # bounds |half sum| in the row
+        span = k * np.abs(block).sum(axis=1)  # bounds |half sum| in the row
         offset = (np.cumsum(2 * span + 1) - span - 1)[:, None]
         keys = offset + left
         # -1 is below every key, so a zero right sum meets no zero left sum
         wanted = np.sort(np.where(right == 0, -1, offset - right), axis=None)
         at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
-        related[block] = found | (wanted[at] == keys).any(axis=1)
+        related[start : start + step] = found | (wanted[at] == keys).any(axis=1)
     return related
 
 
@@ -178,47 +176,87 @@ def _large_prime_power_grid(
     return bad
 
 
-def _admissible_exps(
-    exp_max: Sequence[int], param: FilterParameter, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """The exponent tuples in the box failing condition 3, as a (q, n) array in
-    lexicographic order, tested in mixed-radix blocks of ``_BLOCK`` rows.  First
-    charged the half sums of the rows searched, those with no zero and distinct
-    magnitudes: 2**n * prod(B_(j) - j + 1) over the ascending bounds B_(j)."""
-    shape = [2 * b + 1 for b in exp_max]
-    space = math.prod(shape)
-    per_row = _search_plan(len(shape), param.coeff_bound, max(exp_max), space)[0]
-    work = per_row * 2 ** len(shape) * math.prod(b - j for j, b in enumerate(sorted(exp_max)))
+def _unrelated_sets(exp_max: Sequence[int], param: FilterParameter, budget: int) -> np.ndarray:
+    """The magnitude sets m_1 < ... < m_n that fit the box (m_j <= B_(j) over the
+    ascending bounds) and fail condition 3, as a lexicographic (s, n) array.
+    First charged (2k+1)**ceil(n/2) + (2k+1)**floor(n/2) half sums per set."""
+    tops, n = sorted(exp_max), len(exp_max)
+    ways = [1] + [0] * n  # ways[c]: the sets of c magnitudes below the bounds seen
+    for j, (low, top) in enumerate(zip([0, *tops], tops), 1):
+        ways = [(c >= j) * sum(ways[c - t] * math.comb(top - low, t) for t in range(c + 1))
+                for c in range(n + 1)]
+    work = _search_plan(n, param.coeff_bound, tops[-1], ways[n])[0] * ways[n]
     charge(work, budget, f"condition-3 search would form {work} half sums")
-    kept = []
-    for start in range(0, space, _BLOCK):
-        index = np.arange(start, min(start + _BLOCK, space))
-        rows = np.stack(np.unravel_index(index, shape), axis=1) - np.array(exp_max)
-        kept.append(rows[~_related(rows, param.coeff_bound)])
-    return np.concatenate(kept)
+    # each column keeps its values and their prefixes' indices, from m_0 = 0;
+    # its cap lets every prefix extend to a set
+    parents, values, last = [], [], np.zeros(1, dtype=np.int64)
+    for cap in (min(b - t for t, b in enumerate(tops[j:])) for j in range(n)):
+        counts = np.maximum(cap - last, 0)
+        parents.append(np.repeat(np.arange(last.size), counts) if values else None)
+        last = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+        last += np.arange(last.size)
+        values.append(last)
+    sets, index, last = np.empty((last.size, n), dtype=np.int64), slice(None), None
+    for j in range(n - 1, -1, -1):
+        sets[:, j] = values.pop()[index]
+        index = parents.pop()[index] if j else None
+    return sets[~_related(sets, param.coeff_bound)]
+
+
+def _row_count(sets: np.ndarray, exp_max: Sequence[int]) -> int:
+    """The exponent rows of the box with a magnitude set in ``sets``: placing each set
+    largest first, then signing, 2**n * prod_j (j - #{i : B_i < m_j}) rows per set."""
+    tops, per_set = np.sort(exp_max), np.ones(len(sets), dtype=np.int64)
+    for j in range(len(exp_max)):  # a column at a time, so no second (s, n) array
+        per_set *= j + 1 - np.searchsorted(tops, sets[:, j])
+    return 2 ** len(exp_max) * int(per_set.sum())
+
+
+def _signed_rows(sets: np.ndarray, exp_max: Sequence[int]) -> np.ndarray:
+    """Every signed reordering of ``sets`` that fits the box, as a lexicographic (q, n)
+    array: m_n, then m_(n-1) and so on, each goes to a free place i with B_i >= m_j."""
+    n, tops, owner = len(exp_max), np.array(exp_max), np.arange(len(sets))
+    rows = np.zeros_like(sets)  # 0 marks a free place: every magnitude is positive
+    for j in range(n - 1, -1, -1):
+        row, at = np.nonzero((rows == 0) & (tops >= sets[owner, j, None]))
+        owner, rows = owner[row], rows[row]
+        rows[np.arange(row.size), at] = sets[owner, j]
+    rows = (rows[:, None, :] * np.array([*itertools.product((-1, 1), repeat=n)])).reshape(-1, n)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _admissible_tuples(
     bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The e-set of the box as (columns, clean, exps).
+    """The e-set of the box as (columns, clean, sets).
 
     Conditions 1 and 2 touch only the bases and condition 3 only the
-    exponents, so the e-set is every clean base tuple with every row of the
-    (q, n) array ``exps`` (lexicographic).  ``columns[i]`` holds the values of
-    base i passing condition 2, whose greatest prime factor exceeds the
-    cutoff (1 has none); ``clean`` is the boolean grid over those columns of
-    the tuples failing condition 1.  Charges prod(A_i) + prod(2 B_i + 1), then half sums.
+    exponents, so the e-set is every clean base tuple with every exponent row
+    whose magnitude set is in ``sets``.  ``columns[i]`` holds the values of base
+    i passing condition 2, whose greatest prime factor exceeds the cutoff (1
+    has none); ``clean`` is the boolean grid over those columns of the tuples
+    failing condition 1.  Charges the prod(A_i) base tuples, then half sums.
     """
-    work = math.prod(bounds.base_max) + math.prod(2 * b + 1 for b in bounds.exp_max)
-    charge(work, budget, f"e-set filters walk {work} base and exponent tuples")
-    exps = _admissible_exps(bounds.exp_max, param, budget)  # charged before the sieve
+    work = math.prod(bounds.base_max)
+    charge(work, budget, f"e-set filters walk {work} base tuples")
+    sets = _unrelated_sets(bounds.exp_max, param, budget)  # charged before the sieve
     if max(bounds.base_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
     gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
     clean = ~_large_prime_power_grid(columns, param.cutoff, table)
-    return columns, clean, exps
+    return columns, clean, sets
+
+
+def _admissible_rows(
+    bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """``_admissible_tuples`` with the sets expanded to their lexicographic (q, n)
+    exponent rows, for the uniqueness check; the rows are charged first."""
+    columns, clean, sets = _admissible_tuples(bounds, param, table, budget)
+    rows = _row_count(sets, bounds.exp_max)
+    charge(rows, budget, f"uniqueness check would form {rows} exponent rows")
+    return columns, clean, _signed_rows(sets, bounds.exp_max)
 
 
 def count_e_set(
@@ -230,10 +268,11 @@ def count_e_set(
 ) -> tuple[int, float]:
     """Exact size of the e-set in the box, with its density against 2**n * prod(A_i B_i).
 
-    Charged prod(A_i) + prod(2 B_i + 1), the tuples the filters visit, then the half sums.
+    Clean base tuples times the rows of the unrelated magnitude sets, counted
+    without forming a row.  Charged the prod(A_i) base tuples, then half sums.
     """
-    _, clean, exps = _admissible_tuples(bounds, param, table, budget)
-    count = int(np.count_nonzero(clean)) * len(exps)
+    _, clean, sets = _admissible_tuples(bounds, param, table, budget)
+    count = int(np.count_nonzero(clean)) * _row_count(sets, bounds.exp_max)
     denom = 2**bounds.n * math.prod(
         a * bm for a, bm in zip(bounds.base_max, bounds.exp_max)
     )

@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_BUDGET, Bounds, FactorTable, charge, factorize, np
 from .conditions import (
-    FilterParameter,
-    _admissible_exps,
-    _large_prime_power_grid,
-    _min_bad_exponent,
+    FilterParameter, _large_prime_power_grid, _min_bad_exponent, _row_count, _unrelated_sets,
 )
 
 __all__ = [
@@ -143,8 +140,8 @@ def count_bounded_relation(
     of primitive directions (q, p) with both entries <= coeff_bound, which are
     disjoint families, so the count closes to a double sum of floor divisions,
     charged its coeff_bound**2 coefficient pairs.  Every other box counts the
-    complement of the admissible exponent tuples, found by the relation engine
-    and charged prod(2 B_i + 1), then the half sums of its search.
+    complement of the admissible tuples, charged the half sums of searching
+    each magnitude set once; their rows are never formed.
     """
     k = param.coeff_bound
     b_max = bounds.exp_max
@@ -160,8 +157,7 @@ def count_bounded_relation(
                     nonzero += 4 * min(b1 // q, b2 // p)
         return zeros + nonzero
     space = math.prod(2 * b + 1 for b in b_max)
-    charge(space, budget, f"condition-3 count would walk {space} exponent tuples")
-    return space - len(_admissible_exps(b_max, param, budget))
+    return space - _row_count(_unrelated_sets(b_max, param, budget), b_max)
 
 
 def condition_bound(condition: int, bounds: Bounds, param: FilterParameter) -> float:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -51,7 +52,8 @@ def _admissible_without(dropped):
         clean = np.ones_like(bad) if dropped == 1 else ~bad
         if dropped == 3:
             return columns, clean, _unfiltered_box(bounds, param, table, budget)[2]
-        return columns, clean, conditions_module._admissible_exps(bounds.exp_max, param)
+        sets = conditions_module._unrelated_sets(bounds.exp_max, param, budget)
+        return columns, clean, conditions_module._signed_rows(sets, bounds.exp_max)
 
     return admissible
 
@@ -260,9 +262,20 @@ class TestVerifyUniqueRepresentation:
     def test_no_violations_single_coordinate(self, table_small):
         assert verify_unique_representation(Bounds((40,), (6,)), table_small) == []
 
+    def test_rows_are_formed_per_coordinate_not_per_ordering(self, table_small):
+        # 3**12 exponent rows and no magnitude set: the check answers at once,
+        # with no pass over the 12! orderings of a set
+        bounds = Bounds((1,) * 12, (1,) * 12)
+        started = time.perf_counter()
+        param = FilterParameter.from_cutoff(2.0)
+        assert verify_unique_representation(bounds, table_small, param=param) == []
+        assert time.perf_counter() - started < 5
+        sets = np.zeros((0, 12), dtype=np.int64)
+        assert conditions_module._signed_rows(sets, bounds.exp_max).shape == (0, 12)
+
     def test_detects_collisions_when_filters_disabled(self, table_small, monkeypatch):
         # with every exclusion switched off, 2*3 and 6*1 collide at the value 6
-        monkeypatch.setattr(census_module, "_admissible_tuples", _unfiltered_box)
+        monkeypatch.setattr(census_module, "_admissible_rows", _unfiltered_box)
         violations = verify_unique_representation(
             Bounds((6, 6), (1, 1)),
             table_small,
@@ -281,7 +294,7 @@ class TestVerifyUniqueRepresentation:
         # the unfiltered box has many collisions; the check must report exactly
         # the values that a plain grouping by value and orbit finds, also when
         # distinct values share fingerprints
-        monkeypatch.setattr(census_module, "_admissible_tuples", _unfiltered_box)
+        monkeypatch.setattr(census_module, "_admissible_rows", _unfiltered_box)
         weights = _collision_weights(weighted_words)
         monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
         rng = random.Random(246)
@@ -315,11 +328,11 @@ class TestVerifyUniqueRepresentation:
         admissible = _admissible_without(dropped)
         columns, clean, exps = admissible(bounds, param, table_small, 10**8)
         if dropped is None:
-            engine = conditions_module._admissible_tuples(bounds, param, table_small, 10**8)
+            engine = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
             assert [c.tolist() for c in engine[0]] == [c.tolist() for c in columns]
             assert engine[1].tolist() == clean.tolist()
             assert engine[2].tolist() == exps.tolist()
-        monkeypatch.setattr(census_module, "_admissible_tuples", admissible)
+        monkeypatch.setattr(census_module, "_admissible_rows", admissible)
         violations = verify_unique_representation(bounds, table_small, param=param)
         expected = _grouping_violations(_base_rows(columns, clean), exps.tolist())
         assert {v.value for v in violations} == expected
@@ -328,7 +341,7 @@ class TestVerifyUniqueRepresentation:
             assert not _same_orbit(v.first, v.second)
 
     def test_budget_guard(self, table_small):
-        with pytest.raises(BudgetError, match=r"walk 3099 .*--budget"):
+        with pytest.raises(BudgetError, match=r"walk 3000 base tuples.*--budget"):
             verify_unique_representation(
                 Bounds((50, 60), (4, 5)), table_small, budget=10**3
             )

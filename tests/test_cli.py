@@ -38,9 +38,9 @@ _BOX_REFUSALS = {
     "census -A 50000000 -B 1 --budget 10": "census would combine at least 150000000 "
     "candidate values and key words",
     "verify-theorem -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
-    "2500000000000049 base and exponent tuples",
+    "2500000000000000 base tuples",
     "e-set -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
-    "2500000000000049 base and exponent tuples",
+    "2500000000000000 base tuples",
     "lemmas -A 50000000,50000000 -B 3,3 --budget 10": "condition-1 pair count would "
     "test 100000000 base values",
 }
@@ -307,14 +307,15 @@ class TestExitCodes:
         assert "overflow" in captured.err
 
     def test_relation_search_charge_refuses(self, capsys):
-        # 46 080 searched rows times 2 * 73**3 half sums, far past the tuple charge
-        box = ["-A", ",".join(["10"] * 6), "-B", ",".join(["6"] * 6)]
+        # C(10, 6) = 210 searched magnitude sets times 2 * 73**3 half sums,
+        # from 64 base tuples
+        box = ["-A", ",".join(["2"] * 6), "-B", ",".join(["10"] * 6)]
         for command in ("e-set", "lemmas"):
             code = main([command, *box, "--C", "1e8"])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert "35851806720 half sums" in captured.err
+            assert "163387140 half sums" in captured.err
             assert "--budget" in captured.err
 
     def test_unwritable_out_returns_two(self, tmp_path, capsys):

@@ -139,7 +139,7 @@ class TestBoundedRelation:
 
     def test_meet_in_middle_matches_exhaustive(self):
         # the engine on whole (q, n) arrays, many rows per block; mostly distinct
-        # nonzero magnitudes, so the +-1 shortcut does not decide the row first
+        # nonzero magnitudes, like the sets the per-set search gives it
         rng = random.Random(33)
         outcomes = []
         for _ in range(120):
@@ -175,30 +175,56 @@ class TestBoundedRelation:
         assert _related(powers[:-1] + (3,), k)  # 3*1 - 1*3 = 0
 
     def test_search_charge_is_exact(self):
-        # the rows reaching the search, with no zero and distinct magnitudes,
-        # counted by brute force; each forms (2k+1)**ceil(n/2) + (2k+1)**floor(n/2)
+        # the magnitude sets m_1 < ... < m_n fitting the box, counted by brute
+        # force; each forms (2k+1)**ceil(n/2) + (2k+1)**floor(n/2) half sums
         param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
-        for exp_max in ((3,), (2, 5), (3, 3, 3), (1, 2, 3), (4, 2, 6, 3), (2, 2, 2, 2, 2)):
-            rows = itertools.product(*(range(-b, b + 1) for b in exp_max))
-            searched = sum(len({abs(e) for e in row} - {0}) == len(row) for row in rows)
+        boxes = ((3,), (2, 5), (3, 3, 3), (1, 2, 3), (4, 2, 6, 3), (2, 2, 2, 2, 2), (1, 9, 9))
+        for exp_max in boxes:
+            tops = sorted(exp_max)
+            sets = itertools.combinations(range(1, tops[-1] + 1), len(tops))
+            searched = sum(all(m <= b for m, b in zip(ms, tops)) for ms in sets)
             n = len(exp_max)
             work = searched * (5 ** ((n + 1) // 2) + 5 ** (n // 2))
-            conditions_module._admissible_exps(exp_max, param, budget=work)
+            conditions_module._unrelated_sets(exp_max, param, budget=work)
             if work:  # five magnitudes in 1..2 cannot differ, so that box forms none
                 with pytest.raises(BudgetError, match=rf"form {work} half sums.*raise --budget"):
-                    conditions_module._admissible_exps(exp_max, param, budget=work - 1)
+                    conditions_module._unrelated_sets(exp_max, param, budget=work - 1)
 
     def test_search_charge_refuses_wide_window(self, table_small):
-        # 2**6 * 6! rows searched with k = 36: 3.6e10 half sums from 5.8e6 box tuples
-        bounds = Bounds((10,) * 6, (6,) * 6)
+        # C(10, 6) = 210 magnitude sets searched with k = 36, 2 * 73**3 half sums
+        # each: 1.6e8 half sums, from 64 base tuples
+        bounds = Bounds((2,) * 6, (10,) * 6)
         param = FilterParameter.from_cutoff(1e8)
         assert param.coeff_bound == 36
         for count in (
             lambda: count_e_set(bounds, param, table_small),
             lambda: count_bounded_relation(bounds, param),
         ):
-            with pytest.raises(BudgetError, match=r"form 35851806720 half sums.*--budget"):
+            with pytest.raises(BudgetError, match=r"form 163387140 half sums.*--budget"):
                 count()
+
+    def test_sets_give_the_unrelated_rows(self):
+        # the box rows the coefficient scan finds unrelated: counted from the
+        # sets, and expanded in lexicographic order.  Cutoffs lean small at
+        # larger n, where only spread magnitudes survive, and each box keeps
+        # the scan near 10**7 coefficient-row products
+        rng = random.Random(2323)
+        survived = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            param = FilterParameter.from_cutoff(2 * 500 ** rng.random() ** n)
+            side = (10**7 / (2 * param.coeff_bound + 1) ** n) ** (1 / n)
+            exp_max = tuple(rng.randint(1, max(1, min(40, int(side // 2)))) for _ in range(n))
+            rows = np.array(list(itertools.product(*(range(-b, b + 1) for b in exp_max))))
+            expected = rows[~relation_scan(rows, param.coeff_bound)]
+            sets = conditions_module._unrelated_sets(exp_max, param, 10**8)
+            assert (sets <= np.sort(exp_max)).all(), (exp_max, param)  # only sets that fit
+            assert conditions_module._row_count(sets, exp_max) == len(expected), (exp_max, param)
+            got = conditions_module._signed_rows(sets, exp_max)
+            assert got.tolist() == expected.tolist(), (exp_max, param)
+            if len(expected):
+                survived.add(n)
+        assert survived == {1, 2, 3, 4}
 
 
 class TestESet:
@@ -228,7 +254,8 @@ class TestESet:
             count_e_set(bounds, default_cutoff(bounds), table_small, budget=10**3)
 
     def test_budget_charges_the_work_done(self, table_small):
-        # 3000 base tuples plus 99 exponent tuples, though the box holds 297 000
+        # 3000 base tuples, then 100 half sums for 10 magnitude sets, though the
+        # box holds 297 000 tuples
         bounds = Bounds((50, 60), (4, 5))
         param = default_cutoff(bounds)
         assert count_e_set(bounds, param, table_small, budget=4000) == count_e_set(
@@ -249,7 +276,7 @@ class TestFilterEngine:
             exp_max = tuple(rng.randint(1, 4 if n < 4 else 2) for _ in range(n))
             bounds = Bounds(base_max, exp_max)
             param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, 100]))
-            columns, clean, exps = conditions_module._admissible_tuples(
+            columns, clean, exps = conditions_module._admissible_rows(
                 bounds, param, table_small, 10**8
             )
             all_bases = list(itertools.product(*(range(1, a + 1) for a in base_max)))

@@ -170,11 +170,19 @@ class TestCountBoundedRelation:
         assert count_bounded_relation(bounds, param) == scan
 
     def test_budget_guard(self):
+        # C(40, 3) = 9880 magnitude sets, 5**2 + 5 half sums each
         bounds = Bounds((5, 5, 5), (40, 40, 40))
-        with pytest.raises(BudgetError, match=r"walk 531441 exponent tuples.*raise --budget"):
+        with pytest.raises(BudgetError, match=r"form 296400 half sums.*raise --budget"):
             count_bounded_relation(
                 bounds, FilterParameter.from_cutoff(4.0), budget=100
             )
+
+    def test_charge_is_the_sets_not_the_rows(self):
+        # 1.8e9 exponent rows, but no three distinct magnitudes fit the box, so
+        # every row is related and no half sum is formed
+        bounds = Bounds((5, 5, 5), (1, 1, 10**8))
+        count = count_bounded_relation(bounds, FilterParameter.from_cutoff(4.0), budget=0)
+        assert count == 9 * (2 * 10**8 + 1)
 
 
 class TestConditionBound:
