@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "default is min(B_i, ln A_i)")
             command.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                                  help="work budget (default 1e8), charged before each "
-                                      "stage: census values, base tuples, condition-3 "
+                                      "stage: census values, base tuples (on pairs at most "
+                                      "the sum of A_i ceil(ln(A_i+1)) cells), condition-3 "
                                       "half sums, uniqueness-check exponent tuples and "
                                       "member key words, lemma tuples")
         command.add_argument("--format", choices=("json", "csv"), default="json")

@@ -225,37 +225,102 @@ def _signed_rows(sets: np.ndarray, exp_max: Sequence[int]) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _admissible_tuples(
-    bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The e-set of the box as (columns, clean, sets).
+def _charge_clean(base_max: Sequence[int], budget: int) -> None:
+    """Charge ``_clean_tuples`` before it sieves: any box but a pair walks its
+    prod(A_i) grid.  A pair reads about A_i ln A_i strided cells per coordinate,
+    and never more than the grid, which is less when one side is tiny."""
+    work = math.prod(base_max)
+    if len(base_max) == 2:
+        work = min(work, sum(a * math.ceil(math.log(a + 1)) for a in base_max))
+        charge(work, budget, f"condition-1 pair count would read {work} base cells")
+    else:
+        charge(work, budget, f"condition-1 count would walk {work} base tuples")
 
-    Conditions 1 and 2 touch only the bases and condition 3 only the
-    exponents, so the e-set is every clean base tuple with every exponent row
-    whose magnitude set is in ``sets``.  ``columns[i]`` holds the values of base
-    i passing condition 2, whose greatest prime factor exceeds the cutoff (1
-    has none); ``clean`` is the boolean grid over those columns of the tuples
-    failing condition 1.  Charges the prod(A_i) base tuples, then half sums.
+
+def _clean_tuples(
+    base_max: Sequence[int], keep: np.ndarray, cutoff: float, table: FactorTable
+) -> int:
+    """The base tuples of the box whose entries all lie in the mask ``keep`` (over
+    0 .. max A_i; its slot 0 is ignored) and that fail condition 1.
+
+    A tuple is clean iff each base is clean alone and no prime's joint
+    multiplicity reaches its bad exponent k_p.  A pair loops over the smaller
+    coordinate, whose mask is a prefix of the larger one's: each clean value a
+    imposes, at every prime p | a, the demand "partner multiplicity >= k_p -
+    mult_p(a)" for a joint violation, and the violating partners are counted by
+    inclusion-exclusion over subsets of those demands, each term a stride count
+    over the clean mask.  Any other box counts the clean cells of the grid over
+    the values clean alone.
     """
-    work = math.prod(bounds.base_max)
-    charge(work, budget, f"e-set filters walk {work} base tuples")
-    sets = _unrelated_sets(bounds.exp_max, param, budget)  # charged before the sieve
-    if max(bounds.base_max) > table.limit:
+    if max(base_max) > table.limit:
         raise ValueError("base bound exceeds factor table limit")
-    gpf = table.gpf()
-    columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
-    clean = ~_large_prime_power_grid(columns, param.cutoff, table)
-    return columns, clean, sets
+    y_max, x_max = min(base_max), max(base_max)
+    clean_x = keep[: x_max + 1] & ~_large_prime_power_grid([np.arange(x_max + 1)], cutoff, table)
+    clean_x[0] = False  # 0 is no base, but every stride below starts there
+    if len(base_max) != 2:
+        columns = [np.flatnonzero(clean_x[: a + 1]) for a in base_max]
+        return int(np.count_nonzero(~_large_prime_power_grid(columns, cutoff, table)))
+
+    @functools.cache
+    def clean_multiples(d: int) -> int:
+        return int(np.count_nonzero(clean_x[::d]))
+
+    clean_pairs = 0
+    for a in np.flatnonzero(clean_x[: y_max + 1]).tolist():
+        # signed subset products of the per-prime demands p**(k_p - mult_p(a))
+        terms = [(1, 1)]
+        for p, e in factorize(a, table):
+            demand = p ** (_min_bad_exponent(p, cutoff) - e)
+            terms.extend((d * demand, -s) for d, s in list(terms) if d * demand <= x_max)
+        clean_pairs += sum(s * clean_multiples(d) for d, s in terms)
+    return clean_pairs
+
+
+def _unrelated_rows(exp_max: Sequence[int], param: FilterParameter, budget: int) -> int:
+    """The exponent rows of the box failing condition 3.
+
+    On pairs every row with a zero entry is related, and the related nonzero
+    rows are exactly the multiples of the primitive directions (+-q, +-p) with
+    both entries <= coeff_bound, disjoint families, so they close to a double
+    sum of floor divisions, charged the coefficient pairs it walks: those whose
+    entries fit the box.  Any other box counts the rows of its unrelated
+    magnitude sets, charged their half sums.
+    """
+    if len(exp_max) != 2:
+        return _row_count(_unrelated_sets(exp_max, param, budget), exp_max)
+    b1, b2 = exp_max
+    q_max, p_max = min(param.coeff_bound, b1), min(param.coeff_bound, b2)
+    work = q_max * p_max
+    charge(work, budget, f"condition-3 pair count would walk {work} coefficient pairs")
+    related = 2 * (b1 + b2) + 1
+    for q, p in itertools.product(range(1, q_max + 1), range(1, p_max + 1)):
+        if math.gcd(q, p) == 1:
+            related += 4 * min(b1 // q, b2 // p)
+    return (2 * b1 + 1) * (2 * b2 + 1) - related
 
 
 def _admissible_rows(
     bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """``_admissible_tuples`` with the sets expanded to their lexicographic (q, n)
-    exponent rows, for the uniqueness check; the rows are charged first."""
-    columns, clean, sets = _admissible_tuples(bounds, param, table, budget)
+    """The e-set of the box as (columns, clean, rows), for the uniqueness check.
+
+    Conditions 1 and 2 touch only the bases and condition 3 only the
+    exponents, so the e-set is every clean base tuple with every exponent row.
+    ``columns[i]`` holds the values of base i passing condition 2, whose greatest
+    prime factor exceeds the cutoff (1 has none); ``clean`` is the boolean grid
+    over those columns of the tuples failing condition 1; ``rows`` are the
+    lexicographic (q, n) exponent rows failing condition 3.  Charges the
+    prod(A_i) base tuples, the half sums, then the rows, all before the sieve;
+    the table must reach the box.
+    """
+    work = math.prod(bounds.base_max)
+    charge(work, budget, f"e-set filters walk {work} base tuples")
+    sets = _unrelated_sets(bounds.exp_max, param, budget)
     rows = _row_count(sets, bounds.exp_max)
     charge(rows, budget, f"uniqueness check would form {rows} exponent rows")
+    gpf = table.gpf()
+    columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
+    clean = ~_large_prime_power_grid(columns, param.cutoff, table)
     return columns, clean, _signed_rows(sets, bounds.exp_max)
 
 
@@ -268,12 +333,13 @@ def count_e_set(
 ) -> tuple[int, float]:
     """Exact size of the e-set in the box, with its density against 2**n * prod(A_i B_i).
 
-    Clean base tuples times the rows of the unrelated magnitude sets, counted
-    without forming a row.  Charged the prod(A_i) base tuples, then half sums.
+    The clean base tuples passing condition 2 times the exponent rows failing
+    condition 3, counted without forming a tuple or a row.  Charged by
+    ``_charge_clean`` and ``_unrelated_rows``, both before the sieve.
     """
-    _, clean, sets = _admissible_tuples(bounds, param, table, budget)
-    count = int(np.count_nonzero(clean)) * _row_count(sets, bounds.exp_max)
-    denom = 2**bounds.n * math.prod(
-        a * bm for a, bm in zip(bounds.base_max, bounds.exp_max)
-    )
+    _charge_clean(bounds.base_max, budget)
+    rows = _unrelated_rows(bounds.exp_max, param, budget)
+    keep = table.gpf()[: max(bounds.base_max) + 1] > param.cutoff
+    count = _clean_tuples(bounds.base_max, keep, param.cutoff, table) * rows
+    denom = 2**bounds.n * math.prod(a * b for a, b in zip(bounds.base_max, bounds.exp_max))
     return count, count / denom

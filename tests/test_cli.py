@@ -39,10 +39,11 @@ _BOX_REFUSALS = {
     "candidate values and key words",
     "verify-theorem -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
     "2500000000000000 base tuples",
-    "e-set -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
-    "2500000000000000 base tuples",
+    # 2 * 50000000 * ceil(ln 50000001): the pair count's strided cells
+    "e-set -A 50000000,50000000 -B 3,3 --budget 10": "condition-1 pair count would "
+    "read 1800000000 base cells",
     "lemmas -A 50000000,50000000 -B 3,3 --budget 10": "condition-1 pair count would "
-    "test 100000000 base values",
+    "read 1800000000 base cells",
 }
 
 

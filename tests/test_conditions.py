@@ -249,18 +249,77 @@ class TestESet:
         assert count == scan
 
     def test_budget_guard(self, table_small):
+        # 50 * ceil(ln 51) + 60 * ceil(ln 61) = 500 base cells
         bounds = Bounds((50, 60), (4, 5))
-        with pytest.raises(BudgetError):
-            count_e_set(bounds, default_cutoff(bounds), table_small, budget=10**3)
+        with pytest.raises(BudgetError, match=r"read 500 base cells.*--budget"):
+            count_e_set(bounds, default_cutoff(bounds), table_small, budget=499)
 
     def test_budget_charges_the_work_done(self, table_small):
-        # 3000 base tuples, then 100 half sums for 10 magnitude sets, though the
-        # box holds 297 000 tuples
+        # 500 base cells, then 4 coefficient pairs, though the box holds 297 000
+        # tuples
         bounds = Bounds((50, 60), (4, 5))
         param = default_cutoff(bounds)
-        assert count_e_set(bounds, param, table_small, budget=4000) == count_e_set(
+        assert count_e_set(bounds, param, table_small, budget=500) == count_e_set(
             bounds, param, table_small
         )
+
+    def test_pair_count_matches_grid_route_and_oracles(self, table_small):
+        # the pair engines against the uniqueness check's grid route on random
+        # pair boxes, and against the trial-division and coefficient-scan
+        # oracles on the small ones
+        rng = random.Random(2424)
+        nonzero = 0
+        for trial in range(150):
+            small = trial % 3 == 0
+            base_max = tuple(rng.randint(1, 40 if small else 300) for _ in range(2))
+            exp_max = tuple(rng.randint(1, 5 if small else 30) for _ in range(2))
+            bounds = Bounds(base_max, exp_max)
+            param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, rng.uniform(2, 300)]))
+            count = count_e_set(bounds, param, table_small)[0]
+            _, clean, rows = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
+            assert count == int(np.count_nonzero(clean)) * len(rows), (bounds, param)
+            nonzero += count > 0
+            if small:
+                bases = sum(
+                    not large_prime_power_scan(b, param.cutoff)
+                    and not has_smooth_base(b, param, table_small)
+                    for b in itertools.product(*(range(1, a + 1) for a in base_max))
+                )
+                exps = list(itertools.product(*(range(-b, b + 1) for b in exp_max)))
+                unrelated = len(exps) - int(relation_scan(exps, param.coeff_bound).sum())
+                assert count == bases * unrelated, (bounds, param)
+        assert nonzero > 75
+
+    def test_clean_tuples_reads_only_kept_values(self, table_small):
+        # random masks, slot 0 included, against trial division on the box
+        rng = random.Random(2525)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            base_max = tuple(rng.randint(1, (200, 60, 15)[n - 1]) for _ in range(n))
+            keep = np.array([rng.random() < 0.7 for _ in range(max(base_max) + 1)])
+            cutoff = rng.choice([2, 4.5, 9, 30])
+            expected = sum(
+                all(keep[a] for a in b) and not large_prime_power_scan(b, cutoff)
+                for b in itertools.product(*(range(1, a + 1) for a in base_max))
+            )
+            got = conditions_module._clean_tuples(base_max, keep, cutoff, table_small)
+            assert got == expected, (base_max, cutoff, keep.nonzero())
+
+    def test_pair_closed_form_matches_sets(self):
+        # wide pair exponent boxes at a raised budget: the pair closed form
+        # against the rows of the searched unrelated sets
+        rng = random.Random(2626)
+        for _ in range(25):
+            exp_max = (rng.randint(1, 400), rng.randint(1, 400))
+            param = FilterParameter.from_cutoff(2 * 500 ** rng.random())
+            sets = conditions_module._unrelated_sets(exp_max, param, 10**9)
+            expected = conditions_module._row_count(sets, exp_max)
+            assert conditions_module._unrelated_rows(exp_max, param, 10**8) == expected
+        # k = 36, but only the 3 coefficient pairs that fit (1, 3) are walked
+        param = FilterParameter.from_cutoff(1e8)
+        assert conditions_module._unrelated_rows((1, 3), param, 3) == 0  # all related
+        with pytest.raises(BudgetError, match=r"walk 3 coefficient pairs"):
+            conditions_module._unrelated_rows((1, 3), param, 2)
 
 
 class TestFilterEngine:

@@ -98,6 +98,18 @@ class TestCountLargePrimePower:
         )
         assert fast == scan
 
+    def test_pair_charge_is_the_cells_read(self, table_grid):
+        # 600 * ceil(ln 601) + 400 * ceil(ln 401) = 4200 + 2400 strided cells
+        bounds = Bounds((600, 400), (1, 1))
+        param = FilterParameter.from_cutoff(9.0)
+        count = count_large_prime_power(bounds, param, table_grid, budget=6600)
+        assert count == count_large_prime_power(bounds, param, table_grid)
+        with pytest.raises(BudgetError, match=r"read 6600 base cells.*raise --budget"):
+            count_large_prime_power(bounds, param, table_grid, budget=6599)
+        # a side below the log of the other: its 600 pairs, not 2 * 2 + 300 * 6
+        with pytest.raises(BudgetError, match=r"read 600 base cells"):
+            count_large_prime_power(Bounds((2, 300), (1, 1)), param, table_grid, budget=599)
+
     def test_budget_guard(self, table_grid):
         bounds = Bounds((50, 50, 50), (1, 1, 1))
         with pytest.raises(BudgetError, match=r"walk 125000 base tuples.*raise --budget"):
