@@ -132,6 +132,15 @@ def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
     return word + 1, slots
 
 
+def _word_floor(limit: int) -> int:
+    """A lower bound on ``_key_layout``'s words for bases up to ``limit``, without a sieve.
+
+    More than A / ln A primes (A >= 17, Rosser & Schoenfeld 1962) each take a
+    digit of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them.
+    """
+    return -(-int(limit / math.log(limit)) // 40) if limit > 1 else 1
+
+
 def _key_words(layout: tuple[int, list], limit: int) -> np.ndarray:
     """keys[:, a] is the exact key of the base a, for 0 <= a <= limit = max(A_i)."""
     words, slots = layout
@@ -226,9 +235,7 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     work = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
     charge(work, budget, combine(work))
     limit = max(bounds.base_max)
-    # more than A / ln A primes (A >= 17, Rosser & Schoenfeld 1962) each take a
-    # digit of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them
-    work = powers * -(-int(limit / math.log(limit)) // 40) if limit > 1 else powers
+    work = powers * _word_floor(limit)
     charge(work, budget, combine(work))
     layout = _key_layout(bounds, table)
     work = layout[0] * powers
@@ -315,16 +322,19 @@ def verify_unique_representation(
     fixed by the seed; the expected result is an empty list.
 
     The budget is charged prod(A_i), the half sums of the filters and the
-    exponent rows, then members times key words before any key is formed.
+    exponent rows, then members times key words before any key is formed:
+    first at ``_word_floor``, before the key layout walks the primes.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
     columns, clean, exps = _admissible_rows(bounds, param, table, budget)
     members = int(np.count_nonzero(clean)) * len(exps)
+    doing = "uniqueness check would key {} e-set members in {} words each".format
+    floor = _word_floor(max(bounds.base_max))
+    charge(members * floor, budget, doing(members, f"at least {floor}"))
     layout = _key_layout(bounds, table)
-    doing = f"uniqueness check would key {members} e-set members in {layout[0]} words each"
-    charge(members * layout[0], budget, doing)
+    charge(members * layout[0], budget, doing(members, layout[0]))
     bases = np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1)
     keys = _key_words(layout, max(bounds.base_max))
     base_prints = (_fingerprint_weights(layout[0]) @ keys.view(np.uint64))[bases]

@@ -80,10 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "default is min(B_i, ln A_i)")
             command.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                                  help="work budget (default 1e8), charged before each "
-                                      "stage: census values, base tuples (on pairs at most "
-                                      "the sum of A_i ceil(ln(A_i+1)) cells), condition-3 "
-                                      "half sums, uniqueness-check exponent tuples and "
-                                      "member key words, lemma tuples")
+                                      "stage: census values and key words, base tuples "
+                                      "(on pairs at most the sum of A_i ceil(ln(A_i+1)) "
+                                      "cells), condition-3 half sums (on pairs, coefficient "
+                                      "pairs), uniqueness-check exponent tuples and member "
+                                      "key words")
         command.add_argument("--format", choices=("json", "csv"), default="json")
         command.add_argument("--out", dest="output_path", metavar="PATH",
                              help="write the report here instead of stdout")

@@ -37,6 +37,8 @@ class TestOrderBounds:
             BlockIndex((1, 3), (1, 1))  # second base block may be at most 2
         with pytest.raises(ValueError):
             BlockIndex((1, 1), (0, 1))
+        with pytest.raises(ValueError, match="component lengths disagree"):
+            BlockIndex((1, 1), (1,))
 
 
 class TestPermanents:
@@ -54,6 +56,14 @@ class TestPermanents:
                     tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)
                 )
                 assert permanent_ryser(matrix) == permanent_brute(matrix)
+
+    @pytest.mark.parametrize("permanent", [permanent_brute, permanent_ryser])
+    def test_shape_checks(self, permanent):
+        assert permanent([]) == 1  # the empty product over the one empty assignment
+        with pytest.raises(ValueError, match="must be square"):
+            permanent(((1, 1),))
+        with pytest.raises(ValueError, match="must be square"):
+            permanent(((1, 1), (1,)))
 
     def test_ryser_size_cap(self):
         matrix = ((1,) * 21,) * 21
@@ -251,6 +261,8 @@ class TestLeadingTerms:
     def test_symmetric_example(self):
         assert symmetric_leading_term(2, 10, 10) == pytest.approx(20000.0)
         assert symmetric_leading_term(3, 2, 2) == pytest.approx(2**3 * 4**3 / 6)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            symmetric_leading_term(0, 10, 10)
 
     def test_separated_example(self):
         assert leading_term_envelope(Bounds((3, 30), (2, 40)))[1] == pytest.approx(

@@ -359,6 +359,18 @@ class TestVerifyUniqueRepresentation:
             verify_unique_representation(bounds, table, budget=28_991)
         assert verify_unique_representation(bounds, table, budget=28_992) == []
 
+    def test_word_floor_refuses_before_the_layout(self, monkeypatch):
+        # 1000 / ln 1000 > 144 primes need at least 4 words, so 3 624 members
+        # need 14 496 words before the layout walks a prime
+        bounds = Bounds((1000,), (3,))
+        table = build_factor_table(1000)
+        monkeypatch.setattr(census_module, "_key_layout", None)
+        with pytest.raises(BudgetError, match=r"key 3624 e-set members in at least 4 words"):
+            verify_unique_representation(bounds, table, budget=14_495)
+        monkeypatch.undo()
+        with pytest.raises(BudgetError, match=r"key 3624 e-set members in 8 words"):
+            verify_unique_representation(bounds, table, budget=14_496)
+
     def test_budget_charges_the_work_done(self, table_small):
         # 9.4 million box tuples, but only 30 069 filter visits and 55 680 members
         assert (
@@ -434,6 +446,14 @@ class TestPermissibility:
                 possible_count(sigma, bounds), bounds.tuple_space()
             )
 
+    def test_rejects_wrong_size_permutation(self):
+        bounds = Bounds((3, 4, 5), (1, 2, 3))
+        for sigma in (Permutation((1, 0)), Permutation((0, 1, 2, 3))):
+            with pytest.raises(ValueError, match="size disagrees"):
+                possible_count(sigma, bounds)
+            with pytest.raises(ValueError, match="size disagrees"):
+                permissibility_closed_form(sigma, bounds)
+
     def test_separated_swap_probability_decays(self):
         swap = Permutation((1, 0))
         values = [
@@ -496,8 +516,10 @@ class TestConvergenceRun:
 
     @pytest.mark.parametrize(
         "shape,options",
-        [("equal", {}), ("custom", {"factors": 2}), ("spiral", {"factors": 2})],
-        ids=["equal-without-factors", "custom-without-base", "unknown-shape"],
+        [("equal", {}), ("separated", {}), ("custom", {"factors": 2}),
+         ("spiral", {"factors": 2})],
+        ids=["equal-without-factors", "separated-without-factors", "custom-without-base",
+             "unknown-shape"],
     )
     def test_incomplete_shape_is_rejected(self, shape, options):
         with pytest.raises(ConfigError):

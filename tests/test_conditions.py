@@ -14,9 +14,8 @@ from logforms import (
     BudgetError,
     ConfigError,
     FilterParameter,
-    count_bounded_relation,
+    check_condition,
     count_e_set,
-    count_large_prime_power,
     default_cutoff,
     has_smooth_base,
 )
@@ -198,7 +197,7 @@ class TestBoundedRelation:
         assert param.coeff_bound == 36
         for count in (
             lambda: count_e_set(bounds, param, table_small),
-            lambda: count_bounded_relation(bounds, param),
+            lambda: check_condition(3, bounds, param, table_small),
         ):
             with pytest.raises(BudgetError, match=r"form 163387140 half sums.*--budget"):
                 count()
@@ -247,6 +246,11 @@ class TestESet:
                 continue
             scan += related.count(False)
         assert count == scan
+
+    def test_table_below_the_box_is_refused(self, table_small):
+        bounds = Bounds((20, 301), (3, 3))
+        with pytest.raises(ValueError, match="exceeds factor table limit"):
+            count_e_set(bounds, FilterParameter.from_cutoff(3.0), table_small)
 
     def test_budget_guard(self, table_small):
         # 50 * ceil(ln 51) + 60 * ceil(ln 61) = 500 base cells
@@ -356,7 +360,8 @@ class TestFilterEngine:
             ]
             assert bases == expected_bases, (bounds, param)
             assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)
-            assert count_large_prime_power(bounds, param, table_small) == sum(prime_power)
+            report = check_condition(1, bounds, param, table_small)
+            assert report.exact_count == sum(prime_power)
 
     def test_grid_blocks_and_edge_columns(self, table_small, monkeypatch):
         # blocks of 7 cells, so most grids below span several of them

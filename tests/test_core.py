@@ -14,11 +14,10 @@ from logforms import (
     FormTuple,
     Permutation,
     build_factor_table,
+    check_condition,
     convergence_run,
-    count_bounded_relation,
     count_distinct_rationals,
     count_e_set,
-    count_large_prime_power,
     factorize,
     run_census,
     verify_unique_representation,
@@ -38,16 +37,14 @@ _METERED = {
     "verify": lambda t: verify_unique_representation(_PAIR, t, param=_PARAM, budget=1),
     "e-set": lambda t: count_e_set(_PAIR, _PARAM, t, budget=1),
     "run-census": lambda t: run_census(_PAIR, t, budget=1),
-    "condition-1-n1": lambda t: count_large_prime_power(
-        Bounds((20,), (3,)), _PARAM, t, budget=1
+    "condition-1-n1": lambda t: check_condition(1, Bounds((20,), (3,)), _PARAM, t, budget=1),
+    "condition-1-n2": lambda t: check_condition(1, _PAIR, _PARAM, t, budget=1),
+    "condition-1-n3": lambda t: check_condition(
+        1, Bounds((10, 10, 10), (3, 3, 3)), _PARAM, t, budget=1
     ),
-    "condition-1-n2": lambda t: count_large_prime_power(_PAIR, _PARAM, t, budget=1),
-    "condition-1-n3": lambda t: count_large_prime_power(
-        Bounds((10, 10, 10), (3, 3, 3)), _PARAM, t, budget=1
-    ),
-    "condition-3-n2": lambda t: count_bounded_relation(_PAIR, _PARAM, budget=1),
-    "condition-3-n3": lambda t: count_bounded_relation(
-        Bounds((10, 10, 10), (3, 3, 3)), _PARAM, budget=1
+    "condition-3-n2": lambda t: check_condition(3, _PAIR, _PARAM, t, budget=1),
+    "condition-3-n3": lambda t: check_condition(
+        3, Bounds((10, 10, 10), (3, 3, 3)), _PARAM, t, budget=1
     ),
 }
 
@@ -85,6 +82,10 @@ class TestFormTuple:
             FormTuple((0, 2), (1, 1))
         with pytest.raises(ValueError):
             FormTuple((2,), (1, 1))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            FormTuple((), ())
 
 
 class TestFactorTable:

@@ -12,9 +12,6 @@ from logforms import (
     BudgetError,
     FilterParameter,
     check_condition,
-    condition_bound,
-    count_bounded_relation,
-    count_large_prime_power,
     count_smooth_base,
     has_smooth_base,
     smooth_count,
@@ -68,7 +65,7 @@ class TestCountLargePrimePower:
     def test_examples(self, table_small, base_max, cutoff, expected):
         bounds = Bounds(base_max, (1,) * len(base_max))
         param = FilterParameter.from_cutoff(cutoff)
-        assert count_large_prime_power(bounds, param, table_small) == expected
+        assert check_condition(1, bounds, param, table_small).exact_count == expected
 
     def test_matches_predicate_scan(self, table_grid):
         rng = random.Random(77)
@@ -81,7 +78,7 @@ class TestCountLargePrimePower:
                 large_prime_power_scan(bases, param.cutoff)
                 for bases in itertools.product(*[range(1, a + 1) for a in base_max])
             )
-            assert count_large_prime_power(bounds, param, table_grid) == scan
+            assert check_condition(1, bounds, param, table_grid).exact_count == scan
 
     @pytest.mark.parametrize(
         "base_max,cutoff",
@@ -91,7 +88,7 @@ class TestCountLargePrimePower:
     def test_pair_path_agrees_with_direct_scan(self, table_grid, base_max, cutoff):
         # every pair box is counted by inclusion-exclusion
         param = FilterParameter.from_cutoff(cutoff)
-        fast = count_large_prime_power(Bounds(base_max, (1, 1)), param, table_grid)
+        fast = check_condition(1, Bounds(base_max, (1, 1)), param, table_grid).exact_count
         scan = sum(
             large_prime_power_scan(bases, cutoff)
             for bases in itertools.product(*[range(1, a + 1) for a in base_max])
@@ -102,20 +99,18 @@ class TestCountLargePrimePower:
         # 600 * ceil(ln 601) + 400 * ceil(ln 401) = 4200 + 2400 strided cells
         bounds = Bounds((600, 400), (1, 1))
         param = FilterParameter.from_cutoff(9.0)
-        count = count_large_prime_power(bounds, param, table_grid, budget=6600)
-        assert count == count_large_prime_power(bounds, param, table_grid)
+        report = check_condition(1, bounds, param, table_grid, budget=6600)
+        assert report == check_condition(1, bounds, param, table_grid)
         with pytest.raises(BudgetError, match=r"read 6600 base cells.*raise --budget"):
-            count_large_prime_power(bounds, param, table_grid, budget=6599)
+            check_condition(1, bounds, param, table_grid, budget=6599)
         # a side below the log of the other: its 600 pairs, not 2 * 2 + 300 * 6
         with pytest.raises(BudgetError, match=r"read 600 base cells"):
-            count_large_prime_power(Bounds((2, 300), (1, 1)), param, table_grid, budget=599)
+            check_condition(1, Bounds((2, 300), (1, 1)), param, table_grid, budget=599)
 
     def test_budget_guard(self, table_grid):
         bounds = Bounds((50, 50, 50), (1, 1, 1))
         with pytest.raises(BudgetError, match=r"walk 125000 base tuples.*raise --budget"):
-            count_large_prime_power(
-                bounds, FilterParameter.from_cutoff(4.0), table_grid, budget=100
-            )
+            check_condition(1, bounds, FilterParameter.from_cutoff(4.0), table_grid, budget=100)
 
 
 class TestCountSmoothBase:
@@ -147,6 +142,7 @@ class TestCountSmoothBase:
 
 
 class TestCountBoundedRelation:
+    # condition 3 reads no factor table; the small one stands in
     @pytest.mark.parametrize(
         "exp_max,cutoff,expected",
         [
@@ -154,17 +150,18 @@ class TestCountBoundedRelation:
             ((4, 4), 4.0, 49),  # coefficient window 2
         ],
     )
-    def test_examples(self, exp_max, cutoff, expected):
+    def test_examples(self, table_small, exp_max, cutoff, expected):
         bounds = Bounds((5,) * len(exp_max), exp_max)
         param = FilterParameter.from_cutoff(cutoff)
-        assert count_bounded_relation(bounds, param) == expected
+        assert check_condition(3, bounds, param, table_small).exact_count == expected
 
-    def test_single_coordinate(self):
+    def test_single_coordinate(self, table_small):
         bounds = Bounds((5,), (7,))
         # only the zero exponent admits a relation
-        assert count_bounded_relation(bounds, FilterParameter.from_cutoff(3.0)) == 1
+        report = check_condition(3, bounds, FilterParameter.from_cutoff(3.0), table_small)
+        assert report.exact_count == 1
 
-    def test_pair_closed_form_matches_scan(self):
+    def test_pair_closed_form_matches_scan(self, table_small):
         rng = random.Random(99)
         for _ in range(40):
             exp_max = (rng.randint(1, 7), rng.randint(1, 7))
@@ -172,51 +169,51 @@ class TestCountBoundedRelation:
             bounds = Bounds((5, 5), exp_max)
             exps = list(itertools.product(*[range(-b, b + 1) for b in exp_max]))
             scan = int(relation_scan(exps, param.coeff_bound).sum())
-            assert count_bounded_relation(bounds, param) == scan
+            assert check_condition(3, bounds, param, table_small).exact_count == scan
 
-    def test_triple_scan_path(self):
+    def test_triple_scan_path(self, table_small):
         bounds = Bounds((5, 5, 5), (2, 3, 2))
         param = FilterParameter.from_cutoff(4.0)  # coeff_bound 2
         exps = list(itertools.product(range(-2, 3), range(-3, 4), range(-2, 3)))
         scan = int(relation_scan(exps, 2).sum())
-        assert count_bounded_relation(bounds, param) == scan
+        assert check_condition(3, bounds, param, table_small).exact_count == scan
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, table_small):
         # C(40, 3) = 9880 magnitude sets, 5**2 + 5 half sums each
         bounds = Bounds((5, 5, 5), (40, 40, 40))
         with pytest.raises(BudgetError, match=r"form 296400 half sums.*raise --budget"):
-            count_bounded_relation(
-                bounds, FilterParameter.from_cutoff(4.0), budget=100
-            )
+            check_condition(3, bounds, FilterParameter.from_cutoff(4.0), table_small, budget=100)
 
-    def test_charge_is_the_sets_not_the_rows(self):
+    def test_charge_is_the_sets_not_the_rows(self, table_small):
         # 1.8e9 exponent rows, but no three distinct magnitudes fit the box, so
         # every row is related and no half sum is formed
         bounds = Bounds((5, 5, 5), (1, 1, 10**8))
-        count = count_bounded_relation(bounds, FilterParameter.from_cutoff(4.0), budget=0)
-        assert count == 9 * (2 * 10**8 + 1)
+        param = FilterParameter.from_cutoff(4.0)
+        report = check_condition(3, bounds, param, table_small, budget=0)
+        assert report.exact_count == 9 * (2 * 10**8 + 1)
 
 
 class TestConditionBound:
-    def test_prime_power_envelope(self):
+    def test_prime_power_envelope(self, table_small):
         bounds = Bounds((100,), (5,))
-        value = condition_bound(1, bounds, FilterParameter.from_cutoff(16.0))
-        assert value == pytest.approx(100 * math.log(16.0) / 4.0)
+        report = check_condition(1, bounds, FilterParameter.from_cutoff(16.0), table_small)
+        assert report.bound_value == pytest.approx(100 * math.log(16.0) / 4.0)
 
-    def test_smooth_envelope(self):
+    def test_smooth_envelope(self, table_small):
         bounds = Bounds((55,), (3,))
-        value = condition_bound(2, bounds, FilterParameter.from_cutoff(math.e**2))
-        assert value == pytest.approx(55**0.75)
+        report = check_condition(2, bounds, FilterParameter.from_cutoff(math.e**2), table_small)
+        assert report.bound_value == pytest.approx(55**0.75)
 
-    def test_relation_envelope(self):
+    def test_relation_envelope(self, table_small):
         bounds = Bounds((10,), (10,))
-        value = condition_bound(3, bounds, FilterParameter.from_cutoff(math.e))
-        assert value == pytest.approx(9.0)
+        report = check_condition(3, bounds, FilterParameter.from_cutoff(math.e), table_small)
+        assert report.bound_value == pytest.approx(9.0)
 
-    def test_rejects_unknown_condition(self):
+    def test_rejects_unknown_condition(self, table_small):
         bounds = Bounds((10,), (3,))
-        with pytest.raises(ValueError):
-            condition_bound(4, bounds, FilterParameter.from_cutoff(4.0))
+        for condition in (0, 4):
+            with pytest.raises(ValueError, match=rf"1, 2 or 3, got {condition}$"):
+                check_condition(condition, bounds, FilterParameter.from_cutoff(4.0), table_small)
 
 
 class TestCheckCondition:
@@ -225,8 +222,12 @@ class TestCheckCondition:
         param = FilterParameter.from_cutoff(8.0)
         report = check_condition(1, bounds, param, table_grid)
         assert report.condition == 1
-        assert report.exact_count == count_large_prime_power(bounds, param, table_grid)
-        assert report.bound_value == pytest.approx(condition_bound(1, bounds, param))
+        scan = sum(
+            large_prime_power_scan(bases, param.cutoff)
+            for bases in itertools.product(range(1, 61), repeat=2)
+        )
+        assert report.exact_count == scan
+        assert report.bound_value == pytest.approx(60 * 60 * math.log(8.0) ** 2 / math.sqrt(8.0))
         assert report.ratio == pytest.approx(report.exact_count / report.bound_value)
 
     @pytest.mark.parametrize("condition", [1, 2, 3])
