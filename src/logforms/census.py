@@ -11,7 +11,8 @@ A value is its prime-exponent vector, encoded as an exact integer key (one
 balanced mixed-radix digit per prime, packed into int64 words) on which
 addition is vector addition.  The count never visits a box tuple: it builds
 the sumset S_1 + ... + S_n of the per-coordinate power sets one layer at a
-time, T_k = dedup(T_{k-1} + S_k).  One-word sums are sorted as they are; all
+time, T_k = dedup(T_{k-1} + S_k), and each S_k = dedup({0} + powers_k) by the
+same step, ``_sumset``.  One-word sums are sorted as they are; all
 other equal keys, of the count and of the uniqueness check, are found by one
 kernel, ``_equal_runs``, which sorts a linear 64-bit fingerprint per key
 (Karp-Rabin style) and certifies every run of equal fingerprints on the exact
@@ -101,8 +102,8 @@ def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
     return table
 
 
-def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
-    """The number of int64 words in an exact key, and each prime's digit slot.
+def _keys(bounds: Bounds, table: FactorTable, items: int, what: str, budget: int) -> np.ndarray:
+    """keys[:, a] is the exact key of the base a, for 0 <= a <= max(A_i).
 
     A key has one balanced digit per prime p <= max(A_i), in radix 2*M_p + 1
     with M_p = sum_i B_i * floor(log_p A_i): no product of box coordinates,
@@ -110,13 +111,18 @@ def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
     into int64 words while the product of their radices stays below 2**64, so
     such products never overflow a word or carry between digits.  Adding keys
     therefore adds prime-exponent vectors, and equal keys are equal rationals.
-    A slot is (the powers p**k <= max(A_i), word, place value).  The layout
-    allocates nothing per base, so callers charge the words before
-    ``_key_words`` builds them.
+
+    The ``items`` values that ``what`` names are charged the words of a key
+    each: first, before the table is read, at a lower bound on the words (more
+    than A / ln A primes, A >= 17, Rosser & Schoenfeld 1962, each take a digit
+    of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them),
+    then at the exact words, before the array exists.
     """
     limit = max(bounds.base_max)
+    floor = -(-int(limit / math.log(limit)) // 40) if limit > 1 else 1
+    charge(items * floor, budget, f"{what} in at least {floor} words each")
     primes = table.primes()
-    slots = []
+    slots = []  # (the powers p**k <= max(A_i), word, place value) per prime
     word, place = 0, 1
     for p in primes[primes <= limit].tolist():
         powers = [p]
@@ -129,22 +135,8 @@ def _key_layout(bounds: Bounds, table: FactorTable) -> tuple[int, list]:
             word, place = word + 1, 1
         slots.append((powers, word, place))
         place *= 2 * top + 1
-    return word + 1, slots
-
-
-def _word_floor(limit: int) -> int:
-    """A lower bound on ``_key_layout``'s words for bases up to ``limit``, without a sieve.
-
-    More than A / ln A primes (A >= 17, Rosser & Schoenfeld 1962) each take a
-    digit of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them.
-    """
-    return -(-int(limit / math.log(limit)) // 40) if limit > 1 else 1
-
-
-def _key_words(layout: tuple[int, list], limit: int) -> np.ndarray:
-    """keys[:, a] is the exact key of the base a, for 0 <= a <= limit = max(A_i)."""
-    words, slots = layout
-    keys = np.zeros((words, limit + 1), dtype=np.int64)
+    charge(items * (word + 1), budget, f"{what} in {word + 1} words each")
+    keys = np.zeros((word + 1, limit + 1), dtype=np.int64)
     for powers, w, place in slots:
         for q in powers:
             keys[w, q::q] += place
@@ -190,14 +182,6 @@ def _equal_runs(prints: np.ndarray, words_at) -> tuple[np.ndarray, np.ndarray]:
     return index, fresh
 
 
-def _coordinate_values(keys: np.ndarray, a_max: int, b_max: int) -> np.ndarray:
-    """Distinct keys of a**b over 1 <= a <= a_max, |b| <= b_max."""
-    powers = (keys[:, 1 : a_max + 1, None] * np.arange(-b_max, b_max + 1)).reshape(len(keys), -1)
-    prints = _fingerprint_weights(len(keys)) @ powers.view(np.uint64)
-    index, fresh = _equal_runs(prints, lambda index: powers[:, index])
-    return powers[:, index[fresh]]
-
-
 def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarray | int:
     """Distinct sums of a column of ``values`` and a column of ``layer``.
 
@@ -207,6 +191,8 @@ def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarr
     is the sum of its terms' fingerprints, and its words are rebuilt from its
     index only to certify its run.
     """
+    # kept for speed: census -A 23,29,24 -B 3,2,3 counts in 9-11 ms this way
+    # and in 29-35 ms through _equal_runs (2 cores, numpy 2.4, best of 15)
     if values.shape[0] == 1:
         sums = np.add.outer(values[0], layer[0]).ravel()
         sums.sort()
@@ -226,26 +212,26 @@ def _sumset(values: np.ndarray, layer: np.ndarray, count_only: bool) -> np.ndarr
 def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     """Distinct values as the layered sumset T_k = dedup(T_{k-1} + S_k).
 
-    The budget is charged for every candidate value formed: the A_k*(2B_k+1)
-    powers that make up the coordinate sets S_k, once per key word (first at a
-    lower bound on the words, before the sieve), then |T_{k-1}| * |S_k| sums
-    per layer, each charged before it is formed.  Layers go in ascending |S_k|.
+    Each coordinate set S_k = dedup({0} + powers_k) of its A_k*(2B_k+1) powers
+    goes through ``_sumset`` like every layer.  The budget is charged for every
+    candidate value formed: the powers once per key word, by ``_keys``, then
+    |T_{k-1}| * |S_k| sums per layer, each charged before it is formed.
+    Layers go in ascending |S_k|.
     """
-    combine = "census would combine at least {} candidate values and key words".format
-    work = powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
-    charge(work, budget, combine(work))
-    limit = max(bounds.base_max)
-    work = powers * _word_floor(limit)
-    charge(work, budget, combine(work))
-    layout = _key_layout(bounds, table)
-    work = layout[0] * powers
-    charge(work, budget, combine(work))
-    keys = _key_words(layout, limit)
+    powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
+    keys = _keys(bounds, table, powers, f"census would key {powers} coordinate powers", budget)
+    words = len(keys)
+    work = words * powers
+    zero = np.zeros((words, 1), dtype=np.int64)
     layers = sorted(
-        (_coordinate_values(keys, a, b) for a, b in zip(bounds.base_max, bounds.exp_max)),
+        (
+            _sumset(zero, (keys[:, 1 : a + 1, None] * np.arange(-b, b + 1)).reshape(words, -1), False)
+            for a, b in zip(bounds.base_max, bounds.exp_max)
+        ),
         key=lambda layer: layer.shape[1],
     )
     values, count = layers[0], layers[0].shape[1]
+    combine = "census would combine at least {} candidate values and key words".format
     for k, layer in enumerate(layers[1:], start=2):
         work += values.shape[1] * layer.shape[1]
         charge(work, budget, combine(work))
@@ -322,22 +308,19 @@ def verify_unique_representation(
     fixed by the seed; the expected result is an empty list.
 
     The budget is charged prod(A_i), the half sums of the filters and the
-    exponent rows, then members times key words before any key is formed:
-    first at ``_word_floor``, before the key layout walks the primes.
+    exponent rows, then members times key words, by ``_keys``, before any key
+    is formed.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
     columns, clean, exps = _admissible_rows(bounds, param, table, budget)
     members = int(np.count_nonzero(clean)) * len(exps)
-    doing = "uniqueness check would key {} e-set members in {} words each".format
-    floor = _word_floor(max(bounds.base_max))
-    charge(members * floor, budget, doing(members, f"at least {floor}"))
-    layout = _key_layout(bounds, table)
-    charge(members * layout[0], budget, doing(members, layout[0]))
+    keys = _keys(
+        bounds, table, members, f"uniqueness check would key {members} e-set members", budget
+    )
     bases = np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1)
-    keys = _key_words(layout, max(bounds.base_max))
-    base_prints = (_fingerprint_weights(layout[0]) @ keys.view(np.uint64))[bases]
+    base_prints = (_fingerprint_weights(len(keys)) @ keys.view(np.uint64))[bases]
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys

@@ -80,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "default is min(B_i, ln A_i)")
             command.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                                  help="work budget (default 1e8), charged before each "
-                                      "stage: census values and key words, base tuples "
-                                      "(on pairs at most the sum of A_i ceil(ln(A_i+1)) "
+                                      "stage: census coordinate powers times key words and "
+                                      "candidate sums, base tuples (on pairs at most the "
+                                      "sum of A_i ceil(ln(A_i+1)) "
                                       "cells), condition-3 half sums (on pairs, coefficient "
                                       "pairs), uniqueness-check exponent tuples and member "
                                       "key words")

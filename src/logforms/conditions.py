@@ -279,6 +279,7 @@ def _clean_tuples(
 def _unrelated_rows(exp_max: Sequence[int], param: FilterParameter, budget: int) -> int:
     """The exponent rows of the box failing condition 3.
 
+    One coordinate is related only at b = 0, so 2 * B_1 rows fail, uncharged.
     On pairs every row with a zero entry is related, and the related nonzero
     rows are exactly the multiples of the primitive directions (+-q, +-p) with
     both entries <= coeff_bound, disjoint families, so they close to a double
@@ -286,6 +287,8 @@ def _unrelated_rows(exp_max: Sequence[int], param: FilterParameter, budget: int)
     entries fit the box.  Any other box counts the rows of its unrelated
     magnitude sets, charged their half sums.
     """
+    if len(exp_max) == 1:
+        return 2 * exp_max[0]
     if len(exp_max) != 2:
         return _row_count(_unrelated_sets(exp_max, param, budget), exp_max)
     b1, b2 = exp_max

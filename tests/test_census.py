@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,7 @@ from logforms import (
     Bounds,
     BudgetError,
     ConfigError,
+    FactorTable,
     FilterParameter,
     Permutation,
     build_factor_table,
@@ -161,8 +163,8 @@ class TestCountDistinctRationals:
         self, table_small, base_max, exp_max, words
     ):
         bounds = Bounds(base_max, exp_max)
-        layout = census_module._key_layout(bounds, table_small)
-        assert census_module._key_words(layout, max(base_max)).shape[0] == words
+        keys = census_module._keys(bounds, table_small, 1, "one key", budget=words)
+        assert keys.shape[0] == words
         assert count_distinct_rationals(
             bounds, table_small
         ) == count_distinct_rationals(bounds, table_small, strategy="sorted")
@@ -229,7 +231,9 @@ class TestCountDistinctRationals:
         table = build_factor_table(10000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"at least 112560000 .*--budget"):
+            with pytest.raises(
+                BudgetError, match=r"key 4020000 coordinate powers in at least 28 words.*--budget"
+            ):
                 count_distinct_rationals(bounds, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -243,7 +247,9 @@ class TestCountDistinctRationals:
         table = build_factor_table(100000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=r"at least 65400000 .*--budget"):
+            with pytest.raises(
+                BudgetError, match=r"key 300000 coordinate powers in at least 218 words.*--budget"
+            ):
                 count_distinct_rationals(bounds, table, budget=10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -360,16 +366,28 @@ class TestVerifyUniqueRepresentation:
         assert verify_unique_representation(bounds, table, budget=28_992) == []
 
     def test_word_floor_refuses_before_the_layout(self, monkeypatch):
-        # 1000 / ln 1000 > 144 primes need at least 4 words, so 3 624 members
-        # need 14 496 words before the layout walks a prime
+        # 1000 / ln 1000 > 144 primes need at least 4 words, so the census's
+        # 7 000 powers need 28 000 words and verify's 3 624 members 14 496,
+        # charged before the key layout walks a prime
         bounds = Bounds((1000,), (3,))
         table = build_factor_table(1000)
-        monkeypatch.setattr(census_module, "_key_layout", None)
-        with pytest.raises(BudgetError, match=r"key 3624 e-set members in at least 4 words"):
-            verify_unique_representation(bounds, table, budget=14_495)
-        monkeypatch.undo()
-        with pytest.raises(BudgetError, match=r"key 3624 e-set members in 8 words"):
-            verify_unique_representation(bounds, table, budget=14_496)
+        primes = FactorTable.primes
+
+        def unwalked(table):
+            if sys._getframe(1).f_code is census_module._keys.__code__:
+                raise AssertionError("the key layout walked the primes")
+            return primes(table)
+
+        for run, floor, what in (
+            (count_distinct_rationals, 28_000, "7000 coordinate powers"),
+            (verify_unique_representation, 14_496, "3624 e-set members"),
+        ):
+            monkeypatch.setattr(FactorTable, "primes", unwalked)
+            with pytest.raises(BudgetError, match=f"key {what} in at least 4 words each"):
+                run(bounds, table, budget=floor - 1)
+            monkeypatch.undo()
+            with pytest.raises(BudgetError, match=f"key {what} in 8 words each"):
+                run(bounds, table, budget=floor)
 
     def test_budget_charges_the_work_done(self, table_small):
         # 9.4 million box tuples, but only 30 069 filter visits and 55 680 members

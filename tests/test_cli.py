@@ -35,8 +35,8 @@ print(sorted(name for name in sys.modules if name.startswith("logforms.")))
 
 # Refused by a charge that needs only the box; each would sieve 5e7 bases first.
 _BOX_REFUSALS = {
-    "census -A 50000000 -B 1 --budget 10": "census would combine at least 150000000 "
-    "candidate values and key words",
+    "census -A 50000000 -B 1 --budget 10": "census would key 150000000 coordinate "
+    "powers in at least 70512 words each",
     "verify-theorem -A 50000000,50000000 -B 3,3 --budget 10": "e-set filters walk "
     "2500000000000000 base tuples",
     # 2 * 50000000 * ceil(ln 50000001): the pair count's strided cells
@@ -299,13 +299,16 @@ class TestExitCodes:
         assert row["second_bases"] == [6, 1]
 
     def test_relation_key_overflow_returns_two(self, capsys):
-        argv = ["e-set", "-A", "10", "-B", "50000000000000", "--C", "20",
-                "--budget", "1000000000000000"]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "overflow" in captured.err
+        # three coordinates search their magnitude sets; one coordinate's e-set
+        # count needs no search, but its uniqueness check expands the rows
+        big = "1000000000000000"
+        for argv in (f"e-set -A 10,10,10 -B {big},{big},{big} --C 20",
+                     "verify-theorem -A 10 -B 50000000000000 --C 20"):
+            code = main([*argv.split(), "--budget", big])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "overflow the int64 relation keys" in captured.err
 
     def test_relation_search_charge_refuses(self, capsys):
         # C(10, 6) = 210 searched magnitude sets times 2 * 73**3 half sums,

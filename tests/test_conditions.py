@@ -325,6 +325,17 @@ class TestESet:
         with pytest.raises(BudgetError, match=r"walk 3 coefficient pairs"):
             conditions_module._unrelated_rows((1, 3), param, 2)
 
+    def test_one_coordinate_closed_form_matches_sets(self):
+        # only b = 0 is related, so 2 * B_1 rows fail condition 3; a budget of 1
+        # refuses any search
+        rng = random.Random(2727)
+        for _ in range(200):
+            exp_max = (rng.randint(1, 400),)
+            param = FilterParameter.from_cutoff(2 * 500_000 ** rng.random())
+            sets = conditions_module._unrelated_sets(exp_max, param, 10**8)
+            expected = conditions_module._row_count(sets, exp_max)
+            assert conditions_module._unrelated_rows(exp_max, param, 1) == expected, param
+
 
 class TestFilterEngine:
     def test_matches_scalar_predicates(self, table_small):

@@ -51,13 +51,19 @@ _METERED = {
 # entry points that build their own table, on a box that a charge needing only
 # the box refuses before the table for 5e7 bases is sieved
 _BIG = Bounds((50_000_000, 20), (3, 3))
+_HUGE = Bounds((10**400,), (1,))
 _TABLELESS = {
     "census-set": lambda: count_distinct_rationals(_BIG, budget=1),
     "census-sorted": lambda: count_distinct_rationals(_BIG, budget=1, strategy="sorted"),
-    # admitted by the power charge, refused by the key words' pre-sieve lower bound
+    # refused by the key words' pre-sieve lower bound, 15 511 words per power
     "census-key-words": lambda: count_distinct_rationals(Bounds((10_000_000,), (1,))),
     "verify": lambda: verify_unique_representation(_BIG, param=_PARAM, budget=1),
     "run-census": lambda: run_census(_BIG, budget=1),
+    # a base bound past the float range meets the sieve cap when the table is
+    # made, before a charge could turn it into a float
+    "census-past-float": lambda: count_distinct_rationals(_HUGE),
+    "verify-past-float": lambda: verify_unique_representation(_HUGE),
+    "run-census-past-float": lambda: run_census(_HUGE),
 }
 
 
