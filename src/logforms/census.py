@@ -56,8 +56,8 @@ __all__ = [
     "convergence_run",
 ]
 
-# Seed of the census fingerprint multipliers.  Counts never depend on it:
-# every run of equal fingerprints is certified on exact keys.
+# Seed of the census fingerprint multipliers.  No result depends on it: equal
+# fingerprints are certified on exact keys, and violations are sorted by value.
 _FINGERPRINT_SEED = 0x6C6F67
 # Fingerprint runs are certified this many adjacent pairs at a time, which
 # bounds the exact key words rebuilt at once.
@@ -297,15 +297,16 @@ def verify_unique_representation(
 ) -> list[OrbitViolation]:
     """Check that equal values in the filtered set come from reorderings only.
 
-    Each member of the filtered set (tuples passing none of the three
-    exclusion conditions) is keyed by its value, its bases' key words times
-    its exponents.  ``_equal_runs`` puts equal values together from the
-    fingerprint sum_i fp(a_i) * b_i mod 2**64, so value words are only built a
-    block at a time.  Each later member of a value run is compared with the
-    run's first member on its orbit, its sorted (base, exponent) pair codes.
-    A run with two orbits is one violation, witnessed by its first member and
-    its first member of another orbit.  Violations come in fingerprint order,
-    fixed by the seed; the expected result is an empty list.
+    The filtered set (tuples passing none of the three exclusion conditions)
+    is its clean base tuples times its exponent rows, its members in that
+    order: bases, then rows, both lexicographic.  Each is keyed by its value,
+    its bases' key words times its exponents.  ``_equal_runs`` puts equal
+    values together, each run in member order, from the fingerprint sum_i
+    fp(a_i) * b_i mod 2**64, so value words are only built a block at a time.
+    Each later member of a run is compared with its first on its orbit, its
+    sorted (base, exponent) pair codes.  A run with two orbits is a violation:
+    ``first`` is the value's first member, ``second`` its first member of
+    another orbit.  Violations are sorted by value; none is expected.
 
     The budget is charged prod(A_i), the half sums of the filters and the
     exponent rows, then members times key words, by ``_keys``, before any key
@@ -314,12 +315,11 @@ def verify_unique_representation(
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
-    columns, clean, exps = _admissible_rows(bounds, param, table, budget)
-    members = int(np.count_nonzero(clean)) * len(exps)
+    bases, exps = _admissible_rows(bounds, param, table, budget)
+    members = len(bases) * len(exps)
     keys = _keys(
         bounds, table, members, f"uniqueness check would key {members} e-set members", budget
     )
-    bases = np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1)
     base_prints = (_fingerprint_weights(len(keys)) @ keys.view(np.uint64))[bases]
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
@@ -347,7 +347,7 @@ def verify_unique_representation(
         )
         value = Fraction(*_exact_value(first.bases, first.exps))
         violations.append(OrbitViolation(value, first, second))
-    return violations
+    return sorted(violations, key=lambda violation: violation.value)
 
 
 def possible_count(sigma: Permutation, bounds: Bounds) -> int:

@@ -32,6 +32,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, fields as dataclass_fields
+from decimal import Decimal, InvalidOperation
 
 from . import __version__
 from .core import DEFAULT_BUDGET, Bounds, BudgetError, ConfigError, FactorTable
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
             command.add_argument("--C", dest="cutoff", type=float, metavar="CUTOFF",
                                  help="filter cutoff override (>= 2); "
                                       "default is min(B_i, ln A_i)")
-            command.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+            command.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, metavar="N",
                                  help="work budget (default 1e8), charged before each "
                                       "stage: census coordinate powers times key words and "
                                       "candidate sums, base tuples (on pairs at most the "
@@ -90,6 +91,18 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument("--out", dest="output_path", metavar="PATH",
                              help="write the report here instead of stdout")
     return parser
+
+
+def _budget(text: str) -> int:
+    """--budget exactly: an integer, also in scientific notation such as 1e9.
+    A value past 4300 digits, int()'s limit on integer strings, is refused unexpanded."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
+        raise argparse.ArgumentTypeError(f"expected an integer such as 1e9, got {text!r}")
+    return int(value)
 
 
 def _int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:

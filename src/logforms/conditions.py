@@ -304,17 +304,15 @@ def _unrelated_rows(exp_max: Sequence[int], param: FilterParameter, budget: int)
 
 def _admissible_rows(
     bounds: Bounds, param: FilterParameter, table: FactorTable, budget: int
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The e-set of the box as (columns, clean, rows), for the uniqueness check.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The e-set of the box as (bases, rows), for the uniqueness check.
 
     Conditions 1 and 2 touch only the bases and condition 3 only the
-    exponents, so the e-set is every clean base tuple with every exponent row.
-    ``columns[i]`` holds the values of base i passing condition 2, whose greatest
-    prime factor exceeds the cutoff (1 has none); ``clean`` is the boolean grid
-    over those columns of the tuples failing condition 1; ``rows`` are the
-    lexicographic (q, n) exponent rows failing condition 3.  Charges the
-    prod(A_i) base tuples, the half sums, then the rows, all before the sieve;
-    the table must reach the box.
+    exponents, so the e-set is ``bases`` x ``rows``: the lexicographic (m, n)
+    base tuples failing conditions 1 and 2 (each base's greatest prime factor
+    exceeds the cutoff; 1 has none) times the lexicographic (q, n) exponent
+    rows failing condition 3.  Charges the prod(A_i) base tuples, the half
+    sums, then the rows, all before the sieve; the table must reach the box.
     """
     work = math.prod(bounds.base_max)
     charge(work, budget, f"e-set filters walk {work} base tuples")
@@ -323,8 +321,9 @@ def _admissible_rows(
     charge(rows, budget, f"uniqueness check would form {rows} exponent rows")
     gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
-    clean = ~_large_prime_power_grid(columns, param.cutoff, table)
-    return columns, clean, _signed_rows(sets, bounds.exp_max)
+    clean = np.nonzero(~_large_prime_power_grid(columns, param.cutoff, table))
+    bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
+    return bases, _signed_rows(sets, bounds.exp_max)
 
 
 def count_e_set(

@@ -13,18 +13,22 @@ import pytest
 
 import logforms.census as census_module
 import logforms.conditions as conditions_module
+from conftest import large_prime_power_scan, relation_scan
 from logforms import (
     Bounds,
     BudgetError,
     ConfigError,
     FactorTable,
     FilterParameter,
+    FormTuple,
+    OrbitViolation,
     Permutation,
     build_factor_table,
     convergence_run,
     count_distinct_rationals,
     count_e_set,
     default_cutoff,
+    has_smooth_base,
     main_term,
     permissibility_closed_form,
     possible_count,
@@ -35,34 +39,27 @@ from logforms import (
 
 def _unfiltered_box(bounds, param, table, budget):
     """Stand-in for the filter engine that lets every box tuple through."""
-    columns = [np.arange(1, a + 1) for a in bounds.base_max]
-    exps = list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max)))
-    return columns, np.ones(bounds.base_max, dtype=bool), np.array(exps, dtype=np.int64)
+    bases = itertools.product(*(range(1, a + 1) for a in bounds.base_max))
+    exps = itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))
+    return np.array(list(bases), dtype=np.int64), np.array(list(exps), dtype=np.int64)
 
 
 def _admissible_without(dropped):
     """Stand-in for the filter engine that drops exclusion condition ``dropped``
-    (None drops none), built from the engine's own parts."""
+    (None drops none), built from the per-condition oracles."""
 
     def admissible(bounds, param, table, budget):
-        gpf = table.gpf()
-        columns = [
-            np.arange(1, a + 1) if dropped == 2 else np.flatnonzero(gpf[: a + 1] > param.cutoff)
-            for a in bounds.base_max
-        ]
-        bad = conditions_module._large_prime_power_grid(columns, param.cutoff, table)
-        clean = np.ones_like(bad) if dropped == 1 else ~bad
-        if dropped == 3:
-            return columns, clean, _unfiltered_box(bounds, param, table, budget)[2]
-        sets = conditions_module._unrelated_sets(bounds.exp_max, param, budget)
-        return columns, clean, conditions_module._signed_rows(sets, bounds.exp_max)
+        bases, exps = _unfiltered_box(bounds, param, table, budget)
+        clean = np.array([
+            (dropped == 1 or not large_prime_power_scan(b, param.cutoff))
+            and (dropped == 2 or not has_smooth_base(b, param, table))
+            for b in bases.tolist()
+        ])
+        if dropped != 3:
+            exps = exps[~relation_scan(exps, param.coeff_bound)]
+        return bases[clean], exps
 
     return admissible
-
-
-def _base_rows(columns, clean):
-    """The clean base tuples of the grid over ``columns``, in lexicographic order."""
-    return np.stack([column[i] for column, i in zip(columns, np.nonzero(clean))], axis=1).tolist()
 
 
 def _fraction(bases, exps):
@@ -71,14 +68,20 @@ def _fraction(bases, exps):
 
 
 def _grouping_violations(base_rows, exp_rows):
-    """The values shared by two orbits among every base row with every
-    exponent row, by grouping their fractions in a dict."""
+    """The violations among every base row with every exponent row, by
+    grouping their fractions in a dict: in value order, each value's first
+    member and its first member of another orbit, bases then rows in the
+    given order."""
     groups = {}
     for bases in base_rows:
         for exps in exp_rows:
-            value = _fraction(bases, exps)
-            groups.setdefault(value, set()).add(tuple(sorted(zip(bases, exps))))
-    return {value for value, orbits in groups.items() if len(orbits) > 1}
+            groups.setdefault(_fraction(bases, exps), []).append(FormTuple(bases, exps))
+    violations = []
+    for value, members in sorted(groups.items()):
+        other = [m for m in members if not _same_orbit(m, members[0])]
+        if other:
+            violations.append(OrbitViolation(value, members[0], other[0]))
+    return violations
 
 
 def _collision_weights(weighted_words):
@@ -109,6 +112,14 @@ def _random_bounds(rng, max_space):
         )
         if bounds.tuple_space() <= max_space:
             return bounds
+
+
+def _collision_boxes():
+    """Boxes whose unfiltered members collide: two with wide keys, then ten
+    random ones."""
+    rng = random.Random(246)
+    wide_keys = [Bounds((160, 2), (1, 1)), Bounds((235, 2), (2, 1))]
+    return wide_keys + [_random_bounds(rng, 6_000) for _ in range(10)]
 
 
 class TestCountDistinctRationals:
@@ -294,57 +305,68 @@ class TestVerifyUniqueRepresentation:
         second_value = _fraction(seen.second.bases, seen.second.exps)
         assert first_value == second_value == seen.value
         assert not _same_orbit(seen.first, seen.second)
+        # the least value comes first, witnessed by its first member in member
+        # order, bases then rows, and its first member of another orbit
+        assert seen == OrbitViolation(
+            Fraction(1, 12), FormTuple((2, 6), (-1, -1)), FormTuple((3, 4), (-1, -1))
+        )
 
     @pytest.mark.parametrize("weighted_words", [None, 0, 1], ids=["real", "0", "1"])
     def test_violations_match_grouping_oracle(self, table_small, monkeypatch, weighted_words):
         # the unfiltered box has many collisions; the check must report exactly
-        # the values that a plain grouping by value and orbit finds, also when
-        # distinct values share fingerprints
+        # the violations that a plain grouping by value and orbit finds, in
+        # value order with the same witnesses, also when distinct values share
+        # fingerprints
         monkeypatch.setattr(census_module, "_admissible_rows", _unfiltered_box)
         weights = _collision_weights(weighted_words)
         monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
-        rng = random.Random(246)
-        wide_keys = [Bounds((160, 2), (1, 1)), Bounds((235, 2), (2, 1))]
         found = 0
-        for bounds in wide_keys + [_random_bounds(rng, 6_000) for _ in range(10)]:
+        for bounds in _collision_boxes():
             param = FilterParameter.from_cutoff(2.0)
             violations = verify_unique_representation(bounds, table_small, param=param)
             expected = _grouping_violations(
                 itertools.product(*(range(1, a + 1) for a in bounds.base_max)),
                 list(itertools.product(*(range(-b, b + 1) for b in bounds.exp_max))),
             )
-            reported = [v.value for v in violations]
-            assert len(reported) == len(set(reported))
-            assert set(reported) == expected, bounds
+            assert violations == expected, bounds
             found += len(expected)
-            for v in violations:
-                assert _fraction(v.first.bases, v.first.exps) == v.value
-                assert _fraction(v.second.bases, v.second.exps) == v.value
-                assert not _same_orbit(v.first, v.second)
         assert found > 100
+
+    def test_violations_do_not_depend_on_the_weights(self, table_small, monkeypatch):
+        # the weightings put the runs in different orders, but the violations,
+        # witnesses included, come out the same and in increasing value
+        monkeypatch.setattr(census_module, "_admissible_rows", _unfiltered_box)
+        param = FilterParameter.from_cutoff(2.0)
+        for bounds in _collision_boxes() + [
+            Bounds((20, 20), (2, 2)), Bounds((12, 9, 5), (1, 2, 1))
+        ]:
+            seen = []
+            for weighted_words in (None, 0, 1):
+                weights = _collision_weights(weighted_words)
+                monkeypatch.setattr(census_module, "_fingerprint_weights", weights)
+                violations = verify_unique_representation(bounds, table_small, param=param)
+                seen.append([(v.value, v.first, v.second) for v in violations])
+            assert seen[0] == seen[1] == seen[2], bounds
+            values = [value for value, _, _ in seen[0]]
+            assert all(low < high for low, high in zip(values, values[1:])), bounds
 
     @pytest.mark.parametrize(
         "dropped,count", [(None, 0), (1, 245), (2, 73), (3, 85)], ids=["none", "c1", "c2", "c3"]
     )
     def test_each_filter_stops_real_collisions(self, table_small, monkeypatch, dropped, count):
         # with one exclusion condition off, genuine values of the box collide;
-        # verify must report exactly the values the grouping finds
+        # verify must report exactly the violations the grouping finds
         bounds = Bounds((20, 20), (3, 3))
         param = FilterParameter.from_cutoff(2.0)
         admissible = _admissible_without(dropped)
-        columns, clean, exps = admissible(bounds, param, table_small, 10**8)
+        bases, exps = admissible(bounds, param, table_small, 10**8)
         if dropped is None:
             engine = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
-            assert [c.tolist() for c in engine[0]] == [c.tolist() for c in columns]
-            assert engine[1].tolist() == clean.tolist()
-            assert engine[2].tolist() == exps.tolist()
+            assert [rows.tolist() for rows in engine] == [bases.tolist(), exps.tolist()]
         monkeypatch.setattr(census_module, "_admissible_rows", admissible)
         violations = verify_unique_representation(bounds, table_small, param=param)
-        expected = _grouping_violations(_base_rows(columns, clean), exps.tolist())
-        assert {v.value for v in violations} == expected
+        assert violations == _grouping_violations(bases.tolist(), exps.tolist())
         assert len(violations) == count
-        for v in violations:
-            assert not _same_orbit(v.first, v.second)
 
     def test_budget_guard(self, table_small):
         with pytest.raises(BudgetError, match=r"walk 3000 base tuples.*--budget"):

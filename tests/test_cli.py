@@ -88,6 +88,11 @@ class TestParseArgs:
         assert config.shape == "equal"
         assert config.factors == 2
 
+    @pytest.mark.parametrize("text,budget", [("1e9", 10**9), ("2.5e3", 2500)])
+    def test_budget_takes_integral_scientific_notation(self, text, budget):
+        config = parse_args(["census", "-A", "10", "-B", "2", "--budget", text])
+        assert config.budget == budget
+
     def test_factors_inferred_from_bounds(self):
         config = parse_args(["census", "-A", "5,6,7", "-B", "1,2,3"])
         assert config.factors == 3
@@ -119,6 +124,10 @@ class TestParseArgs:
             ["census", "-n", "2", "-A", "5,5", "-B", "2,2"],  # -n only repeats len(-A)
             ["converge", "--shape", "equal", "-n", "2", "-A", "5,5", "-B", "2,2", "--scales", "3"],
             ["converge", "--shape", "custom", "-n", "2", "-A", "5,5", "-B", "2,2", "--scales", "1"],
+            ["census", "-A", "5", "-B", "2", "--budget", "1.5"],  # budget not an integer
+            ["census", "-A", "5", "-B", "2", "--budget", "1e-3"],
+            ["census", "-A", "5", "-B", "2", "--budget", "0e3"],  # budget below 1
+            ["census", "-A", "5", "-B", "2", "--budget", "1e5000"],  # past int()'s digits
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -340,12 +349,18 @@ class TestExitCodes:
         assert "budget" in captured.err.lower()
 
     def test_lemmas_pair_charge_refuses(self, capsys):
-        # the pair count of condition 1 is charged A_1 + A_2 before it loops
-        code = main(["lemmas", "-A", "100000,100000", "-B", "5,5", "--budget", "1000"])
+        # the pair count of condition 1 is charged sum_i A_i ceil(ln(A_i + 1))
+        # = 2 * 1000 * 7 base cells before it loops, where A_1 + A_2 would be 2000
+        argv = ["lemmas", "-A", "1000,1000", "-B", "5,5", "--budget"]
+        code = main([*argv, "13999"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "--budget" in captured.err
+        assert captured.err == (
+            "error: condition-1 pair count would read 14000 base cells, "
+            "over the budget of 13999; raise --budget\n"
+        )
+        assert main([*argv, "14000"]) == 0
 
     def test_census_power_charge_refuses(self, capsys):
         # 177-word keys: the coordinate powers alone would take about 2.85 GB

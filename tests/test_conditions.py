@@ -268,9 +268,9 @@ class TestESet:
         )
 
     def test_pair_count_matches_grid_route_and_oracles(self, table_small):
-        # the pair engines against the uniqueness check's grid route on random
-        # pair boxes, and against the trial-division and coefficient-scan
-        # oracles on the small ones
+        # the pair engines against the uniqueness check's e-set on random pair
+        # boxes, and against the trial-division and coefficient-scan oracles
+        # on the small ones
         rng = random.Random(2424)
         nonzero = 0
         for trial in range(150):
@@ -280,8 +280,8 @@ class TestESet:
             bounds = Bounds(base_max, exp_max)
             param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, rng.uniform(2, 300)]))
             count = count_e_set(bounds, param, table_small)[0]
-            _, clean, rows = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
-            assert count == int(np.count_nonzero(clean)) * len(rows), (bounds, param)
+            bases, rows = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
+            assert count == len(bases) * len(rows), (bounds, param)
             nonzero += count > 0
             if small:
                 bases = sum(
@@ -350,9 +350,7 @@ class TestFilterEngine:
             exp_max = tuple(rng.randint(1, 4 if n < 4 else 2) for _ in range(n))
             bounds = Bounds(base_max, exp_max)
             param = FilterParameter.from_cutoff(rng.choice([2, 3, 4.5, 9, 30, 100]))
-            columns, clean, exps = conditions_module._admissible_rows(
-                bounds, param, table_small, 10**8
-            )
+            bases, exps = conditions_module._admissible_rows(bounds, param, table_small, 10**8)
             all_bases = list(itertools.product(*(range(1, a + 1) for a in base_max)))
             prime_power = [large_prime_power_scan(b, param.cutoff) for b in all_bases]
             expected_bases = [
@@ -365,11 +363,7 @@ class TestFilterEngine:
             )
             scan = relation_scan(all_exps, param.coeff_bound)
             expected_exps = [tuple(e) for e in all_exps[~scan].tolist()]
-            bases = [
-                tuple(int(column[i]) for column, i in zip(columns, cell))
-                for cell in zip(*np.nonzero(clean))
-            ]
-            assert bases == expected_bases, (bounds, param)
+            assert [tuple(b) for b in bases.tolist()] == expected_bases, (bounds, param)
             assert [tuple(e) for e in exps.tolist()] == expected_exps, (bounds, param)
             report = check_condition(1, bounds, param, table_small)
             assert report.exact_count == sum(prime_power)
