@@ -308,18 +308,19 @@ def verify_unique_representation(
     ``first`` is the value's first member, ``second`` its first member of
     another orbit.  Violations are sorted by value; none is expected.
 
-    The budget is charged prod(A_i), the half sums of the filters and the
-    exponent rows, then members times key words, by ``_keys``, before any key
-    is formed.
+    The budget is charged prod(A_i), the filters' half sums and the members
+    before any row, then by ``_keys`` the key table (members, or max(A_i) + 1
+    base columns if more) times its words.  An empty e-set returns [] at once.
     """
     table = _usable_table(table, max(bounds.base_max))
     if param is None:
         param = default_cutoff(bounds)
     bases, exps = _admissible_rows(bounds, param, table, budget)
-    members = len(bases) * len(exps)
-    keys = _keys(
-        bounds, table, members, f"uniqueness check would key {members} e-set members", budget
-    )
+    members, width = len(bases) * len(exps), max(bounds.base_max) + 1
+    if not members:
+        return []
+    items, what = (members, "e-set members") if members >= width else (width, "base columns")
+    keys = _keys(bounds, table, items, f"uniqueness check would key {items} {what}", budget)
     base_prints = (_fingerprint_weights(len(keys)) @ keys.view(np.uint64))[bases]
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix

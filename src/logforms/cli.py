@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "candidate sums, base tuples (on pairs at most the "
                                       "sum of A_i ceil(ln(A_i+1)) "
                                       "cells), condition-3 half sums (on pairs, coefficient "
-                                      "pairs), uniqueness-check exponent tuples and member "
-                                      "key words")
+                                      "pairs), uniqueness-check members, then their key "
+                                      "words (at least max(A_i)+1 keys)")
         command.add_argument("--format", choices=("json", "csv"), default="json")
         command.add_argument("--out", dest="output_path", metavar="PATH",
                              help="write the report here instead of stdout")
@@ -214,7 +214,8 @@ def _execute(config: argparse.Namespace):
             "truncated_at": outcome.truncated_at,
             "reports": rows,
         }
-        fields = list(rows[0]) if rows else ["scale"]
+        fields = ["scale", "base_max", "exp_max"]  # the header of _report_rows, also with no row
+        fields += [field.name for field in dataclass_fields(CensusReport)[1:]]
         return results, rows, fields, False
 
     # the sieve runs on the table's first use, after the stage's box-only charge

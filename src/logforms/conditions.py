@@ -311,19 +311,20 @@ def _admissible_rows(
     exponents, so the e-set is ``bases`` x ``rows``: the lexicographic (m, n)
     base tuples failing conditions 1 and 2 (each base's greatest prime factor
     exceeds the cutoff; 1 has none) times the lexicographic (q, n) exponent
-    rows failing condition 3.  Charges the prod(A_i) base tuples, the half
-    sums, then the rows, all before the sieve; the table must reach the box.
+    rows failing condition 3.  Charges the prod(A_i) base tuples and the half
+    sums before the sieve, then the members len(bases) x rows before any row
+    exists; an empty e-set forms no row.  The table must reach the box.
     """
     work = math.prod(bounds.base_max)
     charge(work, budget, f"e-set filters walk {work} base tuples")
     sets = _unrelated_sets(bounds.exp_max, param, budget)
-    rows = _row_count(sets, bounds.exp_max)
-    charge(rows, budget, f"uniqueness check would form {rows} exponent rows")
     gpf = table.gpf()
     columns = [np.flatnonzero(gpf[: a + 1] > param.cutoff) for a in bounds.base_max]
     clean = np.nonzero(~_large_prime_power_grid(columns, param.cutoff, table))
     bases = np.stack([column[i] for column, i in zip(columns, clean)], axis=1)
-    return bases, _signed_rows(sets, bounds.exp_max)
+    members = len(bases) * _row_count(sets, bounds.exp_max)
+    charge(members, budget, f"uniqueness check would key {members} e-set members")
+    return bases, _signed_rows(sets if members else sets[:0], bounds.exp_max)
 
 
 def count_e_set(

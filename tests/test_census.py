@@ -62,6 +62,19 @@ def _admissible_without(dropped):
     return admissible
 
 
+def _spy_signed_rows(monkeypatch):
+    """Record the number of magnitude sets each ``_signed_rows`` call expands."""
+    seen = []
+    signed_rows = conditions_module._signed_rows
+
+    def spy(sets, exp_max):
+        seen.append(len(sets))
+        return signed_rows(sets, exp_max)
+
+    monkeypatch.setattr(conditions_module, "_signed_rows", spy)
+    return seen
+
+
 def _fraction(bases, exps):
     """The exact value a_1**b_1 * ... * a_n**b_n."""
     return math.prod((Fraction(a) ** b for a, b in zip(bases, exps)), start=Fraction(1))
@@ -378,6 +391,36 @@ class TestVerifyUniqueRepresentation:
             verify_unique_representation(
                 Bounds((50, 60), (4, 5)), table_small, budget=4000
             )
+
+    def test_members_are_charged_before_any_row(self, table_small, monkeypatch):
+        # 3 940 600 320 members are refused once the clean bases exist, before
+        # a single exponent row is expanded
+        seen = _spy_signed_rows(monkeypatch)
+        with pytest.raises(BudgetError, match=r"key 3940600320 e-set members, .*--budget"):
+            verify_unique_representation(Bounds((20, 20, 20), (100, 100, 100)), table_small)
+        assert seen == []
+
+    def test_empty_e_set_forms_nothing(self, table_small, monkeypatch):
+        # no base of 2 is clean at C = 2.5, so neither rows nor keys are formed
+        def unkeyed(*args):
+            raise AssertionError("the key table was built")
+
+        seen = _spy_signed_rows(monkeypatch)
+        monkeypatch.setattr(census_module, "_keys", unkeyed)
+        bounds = Bounds((2, 2, 2), (100, 100, 100))
+        param = FilterParameter.from_cutoff(2.5)
+        assert verify_unique_representation(bounds, table_small, param=param) == []
+        assert seen == [0]
+
+    def test_key_table_is_charged(self):
+        # 66 members in 20 words fit 1 320, but the key table has a column per
+        # base up to 3 000: 3 001 columns of 20 words
+        bounds = Bounds((3000,), (3,))
+        table = build_factor_table(3000)
+        param = FilterParameter.from_cutoff(2900)
+        with pytest.raises(BudgetError, match=r"key 3001 base columns in 20 words each.*--budget"):
+            verify_unique_representation(bounds, table, param=param, budget=60_019)
+        assert verify_unique_representation(bounds, table, param=param, budget=60_020) == []
 
     def test_budget_charges_value_words(self):
         # 3 624 members fit the budget, their 8-word values (28 992 words) must too

@@ -244,6 +244,17 @@ class TestReports:
             assert row["e_count"] == ""
             assert report["e_count"] is None
 
+    def test_converge_csv_header_does_not_depend_on_the_reports(self, capsys):
+        # a sweep whose first scale is past the budget prints the same header
+        # as one that finishes
+        headers = []
+        for scales in ("3,5", "2000"):
+            assert main(["converge", "--scales", scales, "-n", "2", "--format", "csv"]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0] == headers[1] == (
+            "scale,base_max,exp_max,tuple_space,exact_count,formula_value,ratio,e_count"
+        )
+
     def test_converge_honours_cutoff(self, capsys, table_small):
         sweep = ["converge", "--scales", "8,10", "-n", "2"]
         for flags, cutoff, e_counts in (
