@@ -102,8 +102,10 @@ def _usable_table(table: FactorTable | None, limit: int) -> FactorTable:
     return table
 
 
-def _keys(bounds: Bounds, table: FactorTable, items: int, what: str, budget: int) -> np.ndarray:
-    """keys[:, a] is the exact key of the base a, for 0 <= a <= max(A_i).
+def _keys(
+    bounds: Bounds, table: FactorTable, bases, items: int, what: str, budget: int
+) -> np.ndarray:
+    """keys[:, j] is the exact key of bases[j], an index array or slice of 0 ... max(A_i).
 
     A key has one balanced digit per prime p <= max(A_i), in radix 2*M_p + 1
     with M_p = sum_i B_i * floor(log_p A_i): no product of box coordinates,
@@ -111,35 +113,37 @@ def _keys(bounds: Bounds, table: FactorTable, items: int, what: str, budget: int
     into int64 words while the product of their radices stays below 2**64, so
     such products never overflow a word or carry between digits.  Adding keys
     therefore adds prime-exponent vectors, and equal keys are equal rationals.
+    A pass adds each base's greatest prime factor to its digit and divides it out.
 
-    The ``items`` values that ``what`` names are charged the words of a key
-    each: first, before the table is read, at a lower bound on the words (more
-    than A / ln A primes, A >= 17, Rosser & Schoenfeld 1962, each take a digit
-    of radix >= 3, and 3**41 > 2**64, so a word holds at most 40 of them),
-    then at the exact words, before the array exists.
+    The ``items`` values that ``what`` names, at least the bases, are charged
+    the words of a key each: first, before the table is read, at a lower bound
+    on the words (more than A / ln A primes, A >= 17, Rosser & Schoenfeld 1962,
+    each take a digit of radix >= 3, and 3**41 > 2**64, so a word holds at most
+    40 of them), then at the exact words, before the bases' array exists.
     """
     limit = max(bounds.base_max)
     floor = -(-int(limit / math.log(limit)) // 40) if limit > 1 else 1
     charge(items * floor, budget, f"{what} in at least {floor} words each")
     primes = table.primes()
-    slots = []  # (the powers p**k <= max(A_i), word, place value) per prime
+    slots = []  # (word, place value) per prime
     word, place = 0, 1
     for p in primes[primes <= limit].tolist():
-        powers = [p]
-        while powers[-1] * p <= limit:
-            powers.append(powers[-1] * p)
-        top = sum(
-            b * sum(q <= a for q in powers) for a, b in zip(bounds.base_max, bounds.exp_max)
-        )
+        top, q = 0, p  # M_p, summed over the powers q = p**k <= max(A_i)
+        while q <= limit:
+            top += sum(b for a, b in zip(bounds.base_max, bounds.exp_max) if q <= a)
+            q *= p
         if place * (2 * top + 1) >= 2**64:
             word, place = word + 1, 1
-        slots.append((powers, word, place))
+        slots.append((word, place))
         place *= 2 * top + 1
     charge(items * (word + 1), budget, f"{what} in {word + 1} words each")
-    keys = np.zeros((word + 1, limit + 1), dtype=np.int64)
-    for powers, w, place in slots:
-        for q in powers:
-            keys[w, q::q] += place
+    rest = np.arange(limit + 1)[bases]
+    keys = np.zeros((word + 1, len(rest)), dtype=np.int64)
+    words, places = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+    while (column := np.flatnonzero(rest > 1)).size:  # 0 and 1 have no prime factor
+        slot = np.searchsorted(primes, table.gpf()[rest[column]])
+        keys[words[slot], column] += places[slot]
+        rest[column] //= primes[slot]
     return keys
 
 
@@ -219,13 +223,14 @@ def _count_layered(bounds: Bounds, table: FactorTable, budget: int) -> int:
     Layers go in ascending |S_k|.
     """
     powers = sum(a * (2 * b + 1) for a, b in zip(bounds.base_max, bounds.exp_max))
-    keys = _keys(bounds, table, powers, f"census would key {powers} coordinate powers", budget)
+    what = f"census would key {powers} coordinate powers"
+    keys = _keys(bounds, table, slice(1, None), powers, what, budget)
     words = len(keys)
     work = words * powers
     zero = np.zeros((words, 1), dtype=np.int64)
     layers = sorted(
         (
-            _sumset(zero, (keys[:, 1 : a + 1, None] * np.arange(-b, b + 1)).reshape(words, -1), False)
+            _sumset(zero, (keys[:, :a, None] * np.arange(-b, b + 1)).reshape(words, -1), False)
             for a, b in zip(bounds.base_max, bounds.exp_max)
         ),
         key=lambda layer: layer.shape[1],
@@ -309,25 +314,26 @@ def verify_unique_representation(
     another orbit.  Violations are sorted by value; none is expected.
 
     The budget is charged prod(A_i), the filters' half sums and the members
-    before any row, then by ``_keys`` the key table (members, or max(A_i) + 1
-    base columns if more) times its words.  An empty e-set returns [] at once.
+    before any row, then by ``_keys``, which keys the distinct clean bases, the
+    members times their key words.  An empty e-set returns [] at once.
     """
     table = _usable_table(table, max(bounds.base_max))
-    if param is None:
-        param = default_cutoff(bounds)
+    param = default_cutoff(bounds) if param is None else param
     bases, exps = _admissible_rows(bounds, param, table, budget)
-    members, width = len(bases) * len(exps), max(bounds.base_max) + 1
+    members = len(bases) * len(exps)
     if not members:
         return []
-    items, what = (members, "e-set members") if members >= width else (width, "base columns")
-    keys = _keys(bounds, table, items, f"uniqueness check would key {items} {what}", budget)
-    base_prints = (_fingerprint_weights(len(keys)) @ keys.view(np.uint64))[bases]
+    distinct = np.unique(bases)
+    column = np.searchsorted(distinct, bases)
+    what = f"uniqueness check would key {members} e-set members"
+    keys = _keys(bounds, table, distinct, members, what, budget)
+    base_prints = (_fingerprint_weights(len(keys)) @ keys.view(np.uint64))[column]
 
     # int64 sums wrap, but a value's balanced digits fit one word's radix
     # range, so the wrapped words are still exact keys
     def words_at(index: np.ndarray) -> np.ndarray:
         b, e = np.divmod(index, len(exps))
-        return sum(keys[:, bases[b, i]] * exps[e, i] for i in range(bounds.n))
+        return sum(keys[:, column[b, i]] * exps[e, i] for i in range(bounds.n))
 
     index, fresh = _equal_runs((base_prints @ exps.view(np.uint64).T).ravel(), words_at)
     starts, later = np.flatnonzero(fresh), np.flatnonzero(~fresh)
@@ -379,18 +385,13 @@ def permissibility_closed_form(sigma: Permutation, bounds: Bounds) -> Fraction:
     prod_i min(A_sigma(i), A_i) * (2 min(B_sigma(i), B_i) + 1) over the box
     volume.
     """
-    n = bounds.n
-    if len(sigma.images) != n:
+    if len(sigma.images) != bounds.n:
         raise ValueError("permutation size disagrees with bounds")
-    numerator = 1
-    denominator = 1
-    for i in range(n):
-        j = sigma.images[i]
-        numerator *= min(bounds.base_max[j], bounds.base_max[i]) * (
-            2 * min(bounds.exp_max[j], bounds.exp_max[i]) + 1
-        )
-        denominator *= bounds.base_max[i] * (2 * bounds.exp_max[i] + 1)
-    return Fraction(numerator, denominator)
+    kept = math.prod(
+        min(bounds.base_max[j], a) * (2 * min(bounds.exp_max[j], b) + 1)
+        for a, b, j in zip(bounds.base_max, bounds.exp_max, sigma.images)
+    )
+    return Fraction(kept, bounds.tuple_space())
 
 
 def run_census(

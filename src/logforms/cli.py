@@ -85,8 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "candidate sums, base tuples (on pairs at most the "
                                       "sum of A_i ceil(ln(A_i+1)) "
                                       "cells), condition-3 half sums (on pairs, coefficient "
-                                      "pairs), uniqueness-check members, then their key "
-                                      "words (at least max(A_i)+1 keys)")
+                                      "pairs), uniqueness-check members, then their key words")
         command.add_argument("--format", choices=("json", "csv"), default="json")
         command.add_argument("--out", dest="output_path", metavar="PATH",
                              help="write the report here instead of stdout")

@@ -152,7 +152,7 @@ def _min_bad_exponent(p: int, cutoff: float) -> int:
 def _large_prime_power_grid(
     columns: Sequence[np.ndarray], cutoff: float, table: FactorTable
 ) -> np.ndarray:
-    """Condition 1 on the product grid of the given base columns.
+    """Condition 1 on the product grid of the given columns of bases.
 
     ``bad[i_1, ..., i_n]`` is True iff the base tuple (columns[0][i_1], ...,
     columns[n-1][i_n]) satisfies condition 1: its product is a multiple of

@@ -135,6 +135,58 @@ def _collision_boxes():
     return wide_keys + [_random_bounds(rng, 6_000) for _ in range(10)]
 
 
+def _dense_key_rows(bounds, table):
+    """Reference keys, word by word: each word's row over every base
+    0 ... max(A_i), filled by adding a prime's place value at every multiple
+    of each of its powers.  The layout is the one ``census._keys`` documents."""
+    limit = max(bounds.base_max)
+    primes = table.primes()
+    slots = []  # (the powers p**k <= max(A_i), word, place value) per prime
+    word, place = 0, 1
+    for p in primes[primes <= limit].tolist():
+        powers = [p]
+        while powers[-1] * p <= limit:
+            powers.append(powers[-1] * p)
+        top = sum(
+            b * sum(q <= a for q in powers) for a, b in zip(bounds.base_max, bounds.exp_max)
+        )
+        if place * (2 * top + 1) >= 2**64:
+            word, place = word + 1, 1
+        slots.append((powers, word, place))
+        place *= 2 * top + 1
+    for w in range(word + 1):
+        row = np.zeros(limit + 1, dtype=np.int64)
+        for powers, _, place in (slot for slot in slots if slot[1] == w):
+            for q in powers:
+                row[q::q] += place
+        yield row
+
+
+def _key_cases():
+    """(bounds, bases) for the key parity test: 40 random boxes with n = 1-4
+    and bounds up to 400, then two wide boxes.  Each box keys the census's
+    slice of 1 ... max(A_i) (but (10**5,)/(50,), whose 1 067-word table is
+    853 MB), a shuffled subset holding base 1, the top base and repeats, and
+    a single base."""
+    rng = random.Random(32)
+    boxes = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        boxes.append(Bounds(
+            tuple(rng.randint(1, 400) for _ in range(n)),
+            tuple(rng.randint(1, 400) for _ in range(n)),
+        ))
+    boxes += [Bounds((3000,), (3,)), Bounds((10**5,), (50,))]
+    for bounds in boxes:
+        top = max(bounds.base_max)
+        picked = [1, top, top] + [rng.randint(1, top) for _ in range(rng.randint(1, 60))]
+        rng.shuffle(picked)
+        census = [slice(1, None)] if top < 10**5 else []
+        yield bounds, census + [np.array(picked), np.array([rng.randint(1, top)])]
+
+
+_KEY_CASES = list(_key_cases())
+
 class TestCountDistinctRationals:
     @pytest.mark.parametrize(
         "base_max,exp_max,expected",
@@ -187,8 +239,9 @@ class TestCountDistinctRationals:
         self, table_small, base_max, exp_max, words
     ):
         bounds = Bounds(base_max, exp_max)
-        keys = census_module._keys(bounds, table_small, 1, "one key", budget=words)
-        assert keys.shape[0] == words
+        one = np.array([max(base_max)])
+        keys = census_module._keys(bounds, table_small, one, 1, "one key", budget=words)
+        assert keys.shape == (words, 1)
         assert count_distinct_rationals(
             bounds, table_small
         ) == count_distinct_rationals(bounds, table_small, strategy="sorted")
@@ -283,6 +336,59 @@ class TestCountDistinctRationals:
     def test_unknown_strategy_is_rejected(self, table_small):
         with pytest.raises(ValueError):
             count_distinct_rationals(Bounds((5,), (2,)), table_small, strategy="typo")
+
+
+class TestKeys:
+    @pytest.mark.parametrize(
+        "bounds,subsets",
+        _KEY_CASES,
+        ids=[
+            "/".join(",".join(map(str, side)) for side in (bounds.base_max, bounds.exp_max))
+            for bounds, _ in _KEY_CASES
+        ],
+    )
+    def test_peeled_keys_match_the_dense_table(self, bounds, subsets):
+        # keys[:, j] is the key of bases[j], for a base array or the census's slice
+        table = build_factor_table(max(bounds.base_max))
+        keyed = [census_module._keys(bounds, table, bases, 1, "keys", budget=10**9)
+                 for bases in subsets]
+        for w, row in enumerate(_dense_key_rows(bounds, table)):
+            for bases, keys in zip(subsets, keyed):
+                assert np.array_equal(keys[w], row[bases])
+        assert all(len(keys) == w + 1 for keys in keyed)
+
+    def test_verify_reads_each_members_keys(self, table_small, monkeypatch):
+        # verify keys its 22 distinct clean bases, not the 41 bases up to 40;
+        # every member's value words, read through the inverse index, are the
+        # dense keys of its bases times its exponents
+        bounds, param = Bounds((40, 30), (3, 3)), FilterParameter.from_cutoff(4)
+        seen = {}
+        admissible, keys, equal_runs = (
+            census_module._admissible_rows, census_module._keys, census_module._equal_runs
+        )
+
+        def rows_spy(*args):
+            seen["bases"], seen["exps"] = admissible(*args)
+            return seen["bases"], seen["exps"]
+
+        def keys_spy(*args):
+            seen["keys"] = keys(*args)
+            return seen["keys"]
+
+        def runs_spy(prints, words_at):
+            seen["words"] = words_at(np.arange(prints.size))
+            return equal_runs(prints, words_at)
+
+        monkeypatch.setattr(census_module, "_admissible_rows", rows_spy)
+        monkeypatch.setattr(census_module, "_keys", keys_spy)
+        monkeypatch.setattr(census_module, "_equal_runs", runs_spy)
+        assert verify_unique_representation(bounds, table_small, param=param) == []
+        bases, exps = seen["bases"], seen["exps"]
+        assert seen["keys"].shape[1] == len(np.unique(bases)) == 22
+        dense = np.stack(list(_dense_key_rows(bounds, table_small)))
+        b, e = np.divmod(np.arange(len(bases) * len(exps)), len(exps))
+        expected = sum(dense[:, bases[b, i]] * exps[e, i] for i in range(bounds.n))
+        assert np.array_equal(seen["words"], expected)
 
 
 class TestVerifyUniqueRepresentation:
@@ -413,14 +519,15 @@ class TestVerifyUniqueRepresentation:
         assert seen == [0]
 
     def test_key_table_is_charged(self):
-        # 66 members in 20 words fit 1 320, but the key table has a column per
-        # base up to 3 000: 3 001 columns of 20 words
+        # the key table holds the distinct clean bases only, so the 66 members
+        # in 20 words (1 320) fit, and the largest charge is the filters' 3 000
+        # base tuples, not a column per base up to 3 000
         bounds = Bounds((3000,), (3,))
         table = build_factor_table(3000)
         param = FilterParameter.from_cutoff(2900)
-        with pytest.raises(BudgetError, match=r"key 3001 base columns in 20 words each.*--budget"):
-            verify_unique_representation(bounds, table, param=param, budget=60_019)
-        assert verify_unique_representation(bounds, table, param=param, budget=60_020) == []
+        with pytest.raises(BudgetError, match=r"walk 3000 base tuples.*--budget"):
+            verify_unique_representation(bounds, table, param=param, budget=2999)
+        assert verify_unique_representation(bounds, table, param=param, budget=3000) == []
 
     def test_budget_charges_value_words(self):
         # 3 624 members fit the budget, their 8-word values (28 992 words) must too
